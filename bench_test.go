@@ -216,18 +216,11 @@ func BenchmarkSweepParallelRenderSerial(b *testing.B) { benchSweep(b, 0, 1, fals
 // trace is recorded or replayed at all.
 func BenchmarkSweepFast(b *testing.B) { benchSweep(b, 0, 0, true) }
 
-// ---------------------------------------------------------------------------
-// Intra-spec replay benchmarks: one recorded Village stream replayed
-// through a single 2 MB L2 hierarchy, whole-stream vs four
-// checkpoint-chained frame ranges (rangereplay.go). The trace is recorded
-// once outside the timer, so the measured work is purely the replay
-// engine; serial and ranged produce DeepEqual Results by construction, and
-// the ranged engine's gain is decode/translate overlap across ranges
-// (visible only with more than one CPU).
-// ---------------------------------------------------------------------------
-
-func benchReplaySingleSpec(b *testing.B, replayWorkers int) {
-	b.Helper()
+// BenchmarkReplaySingleSpecSerial measures ReplayTrace: one recorded
+// Village stream replayed through a single 2 MB L2 hierarchy. The trace
+// is recorded once outside the timer, so the measured work is purely the
+// decode, translation and cache simulation of the replay.
+func BenchmarkReplaySingleSpecSerial(b *testing.B) {
 	scale := experiments.Bench()
 	cfg := core.Config{
 		Width: scale.Width, Height: scale.Height,
@@ -239,8 +232,7 @@ func benchReplaySingleSpec(b *testing.B, replayWorkers int) {
 			Layout:    texture.TileLayout{L2Size: 16, L1Size: 4},
 			Policy:    cache.Clock,
 		},
-		TLBEntries:    16,
-		ReplayWorkers: replayWorkers,
+		TLBEntries: 16,
 	}
 	w := workload.Village()
 	var buf bytes.Buffer
@@ -257,13 +249,6 @@ func benchReplaySingleSpec(b *testing.B, replayWorkers int) {
 		}
 	}
 }
-
-// BenchmarkReplaySingleSpecSerial is the whole-stream reference replay.
-func BenchmarkReplaySingleSpecSerial(b *testing.B) { benchReplaySingleSpec(b, 1) }
-
-// BenchmarkReplaySingleSpecRanged4 shards the same stream into four
-// checkpoint-chained frame ranges.
-func BenchmarkReplaySingleSpecRanged4(b *testing.B) { benchReplaySingleSpec(b, 4) }
 
 // BenchmarkTraceRecordReplay measures the trace encode+decode round trip.
 func BenchmarkTraceRecordReplay(b *testing.B) {

@@ -50,7 +50,6 @@ type benchResult struct {
 	Name          string `json:"name"`
 	Parallelism   int    `json:"parallelism"`
 	RenderWorkers int    `json:"render_workers"`
-	ReplayWorkers int    `json:"replay_workers,omitempty"`
 	NsPerOp       int64  `json:"ns_per_op"`
 	AllocsPerOp   int64  `json:"allocs_per_op"`
 	BytesPerOp    int64  `json:"bytes_per_op"`
@@ -85,22 +84,19 @@ func run() int {
 	// Mirror bench_test.go's sweep benchmarks: the serial reference
 	// engine, a bounded 4-worker pool, the GOMAXPROCS default (replay pool
 	// and render farm both parallel), the farm-isolating variant that
-	// keeps the render pass serial, the intra-spec frame-range engine
-	// (four checkpoint-chained ranges per spec group), and the analytic
-	// -fast engine (one instrumented render, no replay).
+	// keeps the render pass serial, and the analytic -fast engine (one
+	// instrumented render, no replay).
 	cases := []struct {
 		name          string
 		parallelism   int
 		renderWorkers int
-		replayWorkers int
 		fast          bool
 	}{
-		{"SweepSerial", 1, 1, 0, false},
-		{"SweepParallel4", 4, 0, 0, false},
-		{"SweepParallel", 0, 0, 0, false},
-		{"SweepParallelRenderSerial", 0, 1, 0, false},
-		{"SweepRanged4", 1, 0, 4, false},
-		{"SweepFast", 0, 0, 0, true},
+		{"SweepSerial", 1, 1, false},
+		{"SweepParallel4", 4, 0, false},
+		{"SweepParallel", 0, 0, false},
+		{"SweepParallelRenderSerial", 0, 1, false},
+		{"SweepFast", 0, 0, true},
 	}
 
 	clock := telemetry.NewWallClock()
@@ -122,7 +118,6 @@ func run() int {
 		cfg := render
 		cfg.Parallelism = bc.parallelism
 		cfg.RenderWorkers = bc.renderWorkers
-		cfg.ReplayWorkers = bc.replayWorkers
 		cfg.FastSweep = bc.fast
 
 		// Quiesce the heap so alloc deltas attribute to the run alone.
@@ -141,7 +136,6 @@ func run() int {
 			Name:          bc.name,
 			Parallelism:   bc.parallelism,
 			RenderWorkers: bc.renderWorkers,
-			ReplayWorkers: bc.replayWorkers,
 			NsPerOp:       elapsed,
 			AllocsPerOp:   int64(after.Mallocs - before.Mallocs),
 			BytesPerOp:    int64(after.TotalAlloc - before.TotalAlloc),

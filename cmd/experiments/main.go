@@ -41,8 +41,6 @@ func run() int {
 		"worker pool size for prefetch and cache sweeps (0 = GOMAXPROCS, -1 = serial)")
 	renderWorkers := flag.Int("renderworkers", 0,
 		"render farm size for cache sweeps (0 = GOMAXPROCS, -1 or 1 = serial render pass)")
-	replayWorkers := flag.Int("replayworkers", 0,
-		"frame-range shards per sweep spec group (0 or 1 = whole-stream replay)")
 	fast := flag.Bool("fast", false,
 		"analytic cache sweeps: predict model-reachable specs from one reuse-profile pass; per-frame figures then report totals only")
 	csvDir := flag.String("csv", "", "also export per-frame figure series as CSV into this directory")
@@ -121,7 +119,6 @@ func run() int {
 	} else {
 		ctx.RenderWorkers = *renderWorkers
 	}
-	ctx.ReplayWorkers = *replayWorkers
 	ctx.FastSweep = *fast
 
 	var totals telemetry.Totals

@@ -11,13 +11,11 @@
 // With -sweep the workload is rendered once and the reference stream is
 // replayed through the canonical cache sweep (the same 13 specs the
 // experiment suite uses; -specs selects a comma-separated subset) on the
-// parallel sweep engine; -parallel bounds the replay worker pool,
+// parallel sweep engine; -parallel bounds the replay worker pool and
 // -renderworkers the frame-parallel render farm (for both, 0 = GOMAXPROCS,
-// 1 = the serial reference path), and -replayworkers shards each spec
-// group's replay into that many checkpoint-chained frame ranges
-// (0 or 1 = whole-stream replay per group):
+// 1 = the serial reference path):
 //
-//	texsim -workload city -sweep -parallel 4 -renderworkers 4 -replayworkers 4 -specs pull-2k,l2-2m
+//	texsim -workload city -sweep -parallel 4 -renderworkers 4 -specs pull-2k,l2-2m
 //
 // With -sweep -fast the replay collapses to one instrumented render: the
 // analytic reuse model (internal/model/reusemodel) predicts every
@@ -91,8 +89,6 @@ func run() int {
 	fast := flag.Bool("fast", false,
 		"with -sweep: predict model-reachable specs analytically from one instrumented render")
 	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	replayWorkers := flag.Int("replayworkers", 0,
-		"frame-range shards per sweep spec group (0 or 1 = whole-stream replay)")
 	renderWorkers := flag.Int("renderworkers", 0,
 		"render farm size for -sweep (0 = GOMAXPROCS, 1 = serial render pass)")
 	specsArg := flag.String("specs", "all", `comma-separated sweep spec names, or "all" (with -sweep)`)
@@ -265,7 +261,6 @@ func run() int {
 	if *sweep {
 		cfg.Parallelism = *parallel
 		cfg.RenderWorkers = *renderWorkers
-		cfg.ReplayWorkers = *replayWorkers
 		cfg.FastSweep = *fast
 		cmp, err := core.RunComparison(w, cfg, specs)
 		if err != nil {

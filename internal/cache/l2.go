@@ -54,6 +54,29 @@ type L2Config struct {
 	NoSectorMapping bool
 }
 
+// Validate checks that an L2 cache can be built from the configuration:
+// a valid tile layout whose sub-blocks fit the 64-bit sector vector, a
+// capacity of a whole positive number of blocks, and a known policy.
+func (c L2Config) Validate() error {
+	if err := c.Layout.Validate(); err != nil {
+		return err
+	}
+	if sub := c.Layout.SubPerBlock(); sub > 64 {
+		return fmt.Errorf("cache: %d sub-blocks exceed the 64-bit sector vector", sub)
+	}
+	blockBytes := c.Layout.L2BlockBytes()
+	if n := c.SizeBytes / blockBytes; n <= 0 || n*blockBytes != c.SizeBytes {
+		return fmt.Errorf("cache: L2 size %d not a multiple of block size %d",
+			c.SizeBytes, blockBytes)
+	}
+	switch c.Policy {
+	case Clock, TrueLRU, Random:
+	default:
+		return fmt.Errorf("cache: unknown policy %d", int(c.Policy))
+	}
+	return nil
+}
+
 // L2Stats counts L2 cache activity. Accesses = FullHits + PartialHits +
 // FullMisses and equals the number of L1 misses presented.
 type L2Stats struct {
@@ -134,18 +157,10 @@ type L2Cache struct {
 // block that can be active in system memory at once (texture.Set provides
 // this via PageTableEntries).
 func NewL2(cfg L2Config, pageTableEntries uint32) (*L2Cache, error) {
-	if err := cfg.Layout.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if sub := cfg.Layout.SubPerBlock(); sub > 64 {
-		return nil, fmt.Errorf("cache: %d sub-blocks exceed the 64-bit sector vector", sub)
-	}
-	blockBytes := cfg.Layout.L2BlockBytes()
-	n := cfg.SizeBytes / blockBytes
-	if n <= 0 || n*blockBytes != cfg.SizeBytes {
-		return nil, fmt.Errorf("cache: L2 size %d not a multiple of block size %d",
-			cfg.SizeBytes, blockBytes)
-	}
+	n := cfg.SizeBytes / cfg.Layout.L2BlockBytes()
 	sub := cfg.Layout.SubPerBlock()
 	var fullMask uint64
 	if sub == 64 {

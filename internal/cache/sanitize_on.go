@@ -61,39 +61,6 @@ func (s *l2San) noteEvict(pt uint32) {
 	s.evicted[pt] = true
 }
 
-// clone deep-copies the sanitizer state so a checkpointed hierarchy
-// carries its shadow map and stale set forward: a restored replay range
-// then verifies the same weak-inclusion obligations the serial replay
-// would at that point in the stream.
-func (s sanState) clone() sanState {
-	out := sanState{accesses: s.accesses}
-	if s.shadow != nil {
-		out.shadow = make(map[uint64]shadowEntry, len(s.shadow))
-		for k, v := range s.shadow {
-			out.shadow[k] = v
-		}
-	}
-	if s.stale != nil {
-		out.stale = make(map[uint64]bool, len(s.stale))
-		for k, v := range s.stale {
-			out.stale[k] = v
-		}
-	}
-	return out
-}
-
-// clone deep-copies the pending-eviction set.
-func (s l2San) clone() l2San {
-	out := l2San{}
-	if s.evicted != nil {
-		out.evicted = make(map[uint32]bool, len(s.evicted))
-		for k, v := range s.evicted {
-			out.evicted[k] = v
-		}
-	}
-	return out
-}
-
 // sanAccess runs after every hierarchy access: it records L1 fills in the
 // shadow map, replays the O(1) counter identities, and periodically runs
 // the full structural scan.

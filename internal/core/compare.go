@@ -78,24 +78,6 @@ type multiSink struct {
 }
 
 func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
-	l1 := s.xlate(tid, u, v, m)
-	s.access(l1)
-	if s.collect != nil {
-		s.collect.Texel(tid, u, v, m)
-	}
-	if s.reuse != nil {
-		s.reuse.Texel(tid, u, v, m)
-	}
-}
-
-// xlate translates one texel to its canonical L1 reference and refreshes
-// every distinct layout's page-table scratch (lx.pt / lx.sub). Split from
-// Texel so the range-replay engine can translate references it cannot yet
-// present to the hierarchies (its checkpoint has not arrived) and buffer
-// the results instead.
-//
-// texlint:hotpath
-func (s *multiSink) xlate(tid texture.ID, u, v, m int) cache.L1Ref {
 	a := s.canon[tid].Addr(u, v, m)
 	l1 := cache.L1Ref{
 		Tag: cache.PackTag(uint32(tid), a.L2, a.L1),
@@ -106,14 +88,6 @@ func (s *multiSink) xlate(tid texture.ID, u, v, m int) cache.L1Ref {
 		lx.pt = lx.starts[tid] + b.L2
 		lx.sub = uint8(b.L1)
 	}
-	return l1
-}
-
-// access presents the translated reference (l1 plus the layout scratch
-// xlate left behind) to every hierarchy in the fan-out.
-//
-// texlint:hotpath
-func (s *multiSink) access(l1 cache.L1Ref) {
 	for i := range s.specs {
 		sp := &s.specs[i]
 		ref := cache.Ref{L1: l1}
@@ -123,6 +97,12 @@ func (s *multiSink) access(l1 cache.L1Ref) {
 			ref.Sub = lx.sub
 		}
 		sp.hier.Access(ref)
+	}
+	if s.collect != nil {
+		s.collect.Texel(tid, u, v, m)
+	}
+	if s.reuse != nil {
+		s.reuse.Texel(tid, u, v, m)
 	}
 }
 
@@ -161,13 +141,17 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 	if err := render.Validate(); err != nil {
 		return nil, err
 	}
+	// Every engine checks its specs before rendering; the fast engine
+	// never builds the hierarchies of the specs it models.
+	for _, spec := range specs {
+		if err := validateCache(spec.Name, spec.L2, spec.TLBEntries); err != nil {
+			return nil, err
+		}
+	}
 	if render.FastSweep {
 		return runComparisonFast(w, render, specs)
 	}
-	par := sweepWorkers(render.Parallelism, len(specs))
-	if par > 1 || replayRangeCount(render.ReplayWorkers, render.Frames) > 1 {
-		// Intra-spec range parallelism runs on the trace engine even when
-		// the spec count alone would take the serial path.
+	if par := sweepWorkers(render.Parallelism, len(specs)); par > 1 {
 		return runComparisonParallel(w, render, specs, par, nil)
 	}
 	return runComparisonSerial(w, render, specs, nil)
@@ -187,6 +171,11 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 	layoutIndex := map[texture.TileLayout]int{}
 
 	for _, spec := range specs {
+		if err := validateCache(spec.Name, spec.L2, spec.TLBEntries); err != nil {
+			return nil, err
+		}
+	}
+	for _, spec := range specs {
 		ways := spec.L1Ways
 		if ways == 0 {
 			ways = cache.L1Ways
@@ -198,8 +187,7 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 		hier := &cache.Hierarchy{L1: l1}
 		layoutIdx := -1
 		if spec.L2 != nil {
-			l2cfg := *spec.L2
-			l2cfg.Layout.L1Size = 4
+			l2cfg := effectiveL2(*spec.L2)
 			idx, ok := layoutIndex[l2cfg.Layout]
 			if !ok {
 				set.MustPrepare(l2cfg.Layout)

@@ -65,22 +65,6 @@ type Config struct {
 	// Comparison are byte-identical at every setting. Negative is
 	// invalid.
 	RenderWorkers int
-	// ReplayWorkers enables frame-range-parallel replay of each cache
-	// spec: the frame sequence is partitioned into that many contiguous
-	// ranges and each range replays on its own clone of the spec's
-	// hierarchy, stitched together by checkpoints — range k restores the
-	// complete cache state (L1, L2, TLB, replacement policy) range k−1
-	// published at their shared boundary, so counters, per-frame deltas
-	// and TLB statistics are bit-identical to a serial replay. Until its
-	// checkpoint arrives a range worker decodes and translates ahead into
-	// bounded reference buffers, overlapping the predecessor's cache
-	// work. 0 and 1 both mean off (one range, the serial replay order);
-	// values above the frame count are clamped to it. The knob applies to
-	// the sweep engine's replay groups (RunComparison with Parallelism
-	// != 1, including the -fast engine's exact fallback) and to
-	// ReplayTrace; a ReplayWorkers above 1 forces the trace engine even
-	// when Parallelism is 1. Negative is invalid.
-	ReplayWorkers int
 	// Metrics, when non-nil, receives one telemetry record per simulated
 	// frame (and per cache spec in comparison runs) in a deterministic
 	// frame-major, spec-minor order that is identical at every
@@ -137,17 +121,52 @@ func (c Config) Validate() error {
 	if c.RenderWorkers < 0 {
 		return fmt.Errorf("core: negative render workers %d", c.RenderWorkers)
 	}
-	if c.ReplayWorkers < 0 {
-		return fmt.Errorf("core: negative replay workers %d", c.ReplayWorkers)
-	}
-	if c.L2 != nil {
-		if err := c.L2.Layout.Validate(); err != nil {
-			return err
-		}
+	if err := validateCache("", c.L2, c.TLBEntries); err != nil {
+		return err
 	}
 	for _, l := range c.StatLayouts {
 		if err := l.Validate(); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// ConfigError reports a cache configuration the simulator cannot build.
+// Spec names the comparison spec it belongs to, or is empty for the
+// cache of a single-configuration run. It is returned before any tile
+// layout is prepared or any cache allocated.
+type ConfigError struct {
+	Spec string
+	Err  error
+}
+
+func (e *ConfigError) Error() string {
+	if e.Spec == "" {
+		return "core: cache config: " + e.Err.Error()
+	}
+	return fmt.Sprintf("core: spec %q: %v", e.Spec, e.Err)
+}
+
+func (e *ConfigError) Unwrap() error { return e.Err }
+
+// effectiveL2 is the L2 configuration a hierarchy is built from: the L2
+// sub-block is always the 4x4 L1 tile, so that sector bits track exactly
+// what the L1 cache downloads.
+func effectiveL2(l2 cache.L2Config) cache.L2Config {
+	l2.Layout.L1Size = 4
+	return l2
+}
+
+// validateCache checks the cache levels below L1 as they will be built:
+// the effective L2 configuration and the TLB size.
+func validateCache(spec string, l2 *cache.L2Config, tlbEntries int) error {
+	if tlbEntries < 0 {
+		return &ConfigError{spec, fmt.Errorf("negative TLB entries %d", tlbEntries)}
+	}
+	if l2 != nil {
+		if err := effectiveL2(*l2).Validate(); err != nil {
+			return &ConfigError{spec, err}
 		}
 	}
 	return nil

@@ -88,8 +88,7 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 		sub.FastSweep = false
 		var cmp *Comparison
 		var err error
-		par := sweepWorkers(sub.Parallelism, len(replaySpecs))
-		if par > 1 || replayRangeCount(sub.ReplayWorkers, sub.Frames) > 1 {
+		if par := sweepWorkers(sub.Parallelism, len(replaySpecs)); par > 1 {
 			cmp, err = runComparisonParallel(w, sub, replaySpecs, par, probe)
 		} else {
 			cmp, err = runComparisonSerial(w, sub, replaySpecs, probe)

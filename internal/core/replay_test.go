@@ -60,12 +60,24 @@ func TestReplayTraceHonorsFrameLimit(t *testing.T) {
 // bypassing any validation the simulator applies while recording.
 func hostileTrace(t testing.TB, tid uint32, u, v, m int) *bytes.Buffer {
 	t.Helper()
+	return hostileStream(t, 1, tid, u, v, m)
+}
+
+// hostileStream encodes frames frames of one valid reference each, and
+// adds the given reference to the middle frame (frames/2) after its
+// valid one, so a failure must latch later in the stream.
+func hostileStream(t testing.TB, frames int, tid uint32, u, v, m int) *bytes.Buffer {
+	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	w.BeginFrame()
-	w.Texel(0, 0, 0, 0) // a valid reference first: failure must latch later
-	w.Texel(tid, u, v, m)
-	w.EndFrame(1)
+	for f := 0; f < frames; f++ {
+		w.BeginFrame()
+		w.Texel(0, 0, 0, 0)
+		if f == frames/2 {
+			w.Texel(tid, u, v, m)
+		}
+		w.EndFrame(1)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +93,23 @@ func TestReplayTraceRejectsHostileStreams(t *testing.T) {
 		u, v int
 		m    int
 		want string
+		// frames is the stream length (0 = one frame); cut drops that
+		// many bytes off the end of the encoded stream.
+		frames, cut int
 	}{
-		{"tid out of range", uint32(set.Len()), 0, 0, 0, "texture id out of range"},
-		{"tid far out of range", 1 << 30, 0, 0, 0, "texture id out of range"},
-		{"negative level", 0, 0, 0, -1, "MIP level out of range"},
-		{"level too deep", 0, 0, 0, 99, "MIP level out of range"},
-		{"u outside extent", 0, 1 << 20, 0, 0, "texel coordinate outside level extent"},
-		{"negative v", 0, 0, -5, 0, "texel coordinate outside level extent"},
+		{"tid out of range", uint32(set.Len()), 0, 0, 0, "texture id out of range", 0, 0},
+		{"tid far out of range", 1 << 30, 0, 0, 0, "texture id out of range", 0, 0},
+		{"negative level", 0, 0, 0, -1, "MIP level out of range", 0, 0},
+		{"level too deep", 0, 0, 0, 99, "MIP level out of range", 0, 0},
+		{"u outside extent", 0, 1 << 20, 0, 0, "texel coordinate outside level extent", 0, 0},
+		{"negative v", 0, 0, -5, 0, "texel coordinate outside level extent", 0, 0},
+		{"tid out of range in a later frame", uint32(set.Len()), 0, 0, 0, "texture id out of range", 4, 0},
+		{"truncated stream", 0, 0, 0, 0, "core: replay", 4, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			buf := hostileTrace(t, tc.tid, tc.u, tc.v, tc.m)
+			buf := hostileStream(t, max(tc.frames, 1), tc.tid, tc.u, tc.v, tc.m)
+			buf.Truncate(buf.Len() - tc.cut)
 			res, err := ReplayTrace(buf, set, cfg)
 			if err == nil {
 				t.Fatalf("hostile stream accepted: %+v", res.Totals)
@@ -99,7 +117,8 @@ func TestReplayTraceRejectsHostileStreams(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %q, want it to mention %q", err, tc.want)
 			}
-			if !strings.Contains(err.Error(), "invalid reference") {
+			// A truncated stream holds no bad reference to describe.
+			if tc.cut == 0 && !strings.Contains(err.Error(), "invalid reference") {
 				t.Errorf("err = %q, want the offending reference described", err)
 			}
 		})

@@ -153,6 +153,9 @@ func NewSimulator(w *workload.Workload, cfg Config) (*Simulator, error) {
 // buildHierarchy constructs the cache hierarchy and address sink for the
 // texture set under cfg.
 func buildHierarchy(set *texture.Set, cfg Config) (*cache.Hierarchy, *addrSink, error) {
+	if err := validateCache("", cfg.L2, cfg.TLBEntries); err != nil {
+		return nil, nil, err
+	}
 	set.MustPrepare(texture.CanonicalL1())
 
 	ways := cfg.L1Ways
@@ -170,10 +173,7 @@ func buildHierarchy(set *texture.Set, cfg Config) (*cache.Hierarchy, *addrSink, 
 		h:     hier,
 	}
 	if cfg.L2 != nil {
-		l2cfg := *cfg.L2
-		// The L2 sub-block must be the 4x4 L1 tile so that sector bits
-		// track exactly what the L1 cache downloads.
-		l2cfg.Layout.L1Size = 4
+		l2cfg := effectiveL2(*cfg.L2)
 		set.MustPrepare(l2cfg.Layout)
 		l2, err := cache.NewL2(l2cfg, set.PageTableEntries(l2cfg.Layout))
 		if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"texcache/internal/cache"
@@ -52,6 +53,86 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("DefaultConfig invalid: %v", err)
+	}
+}
+
+// TestHostileCacheConfigsReturnErrors feeds cache configurations that
+// pass a plain layout check but cannot be built as the hierarchy builds
+// them (the L2 sub-block is forced to the 4x4 L1 tile) to every entry
+// point. Each must return a *ConfigError, never panic.
+func TestHostileCacheConfigsReturnErrors(t *testing.T) {
+	small := testCfg()
+	small.Width, small.Height, small.Frames = 64, 48, 2
+	var stream bytes.Buffer
+	if _, err := RecordTrace(workload.Village(), small, &stream); err != nil {
+		t.Fatal(err)
+	}
+	hostile := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"L2 tile below the L1 tile", func(c *Config) { c.L2.Layout = texture.TileLayout{L2Size: 2, L1Size: 1} }},
+		{"unknown policy", func(c *Config) { c.L2.Policy = cache.PolicyKind(99) }},
+		{"size not a block multiple", func(c *Config) { c.L2.SizeBytes = 1000 }},
+		{"negative TLB entries", func(c *Config) { c.TLBEntries = -1 }},
+	}
+	comparison := func(par int, fast bool) func(Config) error {
+		return func(cfg Config) error {
+			render := cfg
+			render.L2, render.TLBEntries = nil, 0
+			render.Parallelism, render.FastSweep = par, fast
+			specs := []CacheSpec{
+				l2spec("good", cfg.L1Bytes, 2, 16),
+				{Name: "hostile", L1Bytes: cfg.L1Bytes, L2: cfg.L2, TLBEntries: cfg.TLBEntries},
+			}
+			_, err := RunComparison(workload.Village(), render, specs)
+			return err
+		}
+	}
+	entries := []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"Run", func(cfg Config) error { _, err := Run(workload.Village(), cfg); return err }},
+		{"RunComparison/par1", comparison(1, false)},
+		{"RunComparison/par2", comparison(2, false)},
+		{"RunComparison/fast", comparison(0, true)},
+		{"ReplayTrace", func(cfg Config) error {
+			_, err := ReplayTrace(bytes.NewReader(stream.Bytes()), workload.Village().Scene.Textures, cfg)
+			return err
+		}},
+		// The builders check again for callers that skip Validate.
+		{"buildHierarchy", func(cfg Config) error {
+			_, _, err := buildHierarchy(workload.Village().Scene.Textures, cfg)
+			return err
+		}},
+		{"buildMultiSink", func(cfg Config) error {
+			set := workload.Village().Scene.Textures
+			set.MustPrepare(texture.CanonicalL1())
+			spec := CacheSpec{Name: "hostile", L1Bytes: cfg.L1Bytes, L2: cfg.L2, TLBEntries: cfg.TLBEntries}
+			_, err := buildMultiSink(set, []CacheSpec{spec})
+			return err
+		}},
+	}
+	for _, h := range hostile {
+		for _, e := range entries {
+			t.Run(h.name+"/"+e.name, func(t *testing.T) {
+				cfg := withL2(small, 2)
+				l2 := *cfg.L2
+				cfg.L2 = &l2
+				h.mutate(&cfg)
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				err := e.run(cfg)
+				var ce *ConfigError
+				if !errors.As(err, &ce) {
+					t.Fatalf("err = %v, want a *ConfigError", err)
+				}
+			})
+		}
 	}
 }
 

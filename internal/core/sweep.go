@@ -374,19 +374,6 @@ func replayGroup(rt *renderedTrace, ci int, g *sweepGroup, tracer *telemetry.Tra
 	return nil
 }
 
-// replayRange drives one frame-range worker of a spec group through the
-// rendered trace (see rangereplay.go for the checkpoint pipeline). Each
-// worker owns clones of its group's hierarchies; the only cross-worker
-// state is the released chunks' refcounts, the checkpoint links, and the
-// mutex-protected tracer.
-func replayRange(rt *renderedTrace, ci int, g *rangeReplayer, tracer *telemetry.Tracer, span string) error {
-	sp := tracer.Start("replay:" + span)
-	defer sp.End()
-	rg := g.track.Begin("", "replay", int64(ci))
-	defer rg.End()
-	return g.consumeRange(rt, ci)
-}
-
 // specGroups partitions n specs into w contiguous, balanced index
 // ranges, one per replay worker.
 func specGroups(n, w int) [][2]int {
@@ -417,7 +404,6 @@ func runComparisonParallel(w *workload.Workload, render Config, specs []CacheSpe
 	// spawning anything: buildMultiSink prepares tile layouts in the
 	// texture registry, which memoizes into maps that must not be
 	// written concurrently.
-	ranges := replayRangeCount(render.ReplayWorkers, render.Frames)
 	cmp := &Comparison{
 		Workload: w.Name,
 		Render:   render,
@@ -426,56 +412,14 @@ func runComparisonParallel(w *workload.Workload, render Config, specs []CacheSpe
 	}
 	for _, spec := range specs {
 		cmp.Specs = append(cmp.Specs, spec.Name)
-		res := &Results{Workload: w.Name, Config: specConfig(render, spec)}
-		if ranges > 1 {
-			// Ranged replay fills frames by index, each frame owned by
-			// exactly one range worker; sized to the frame count up front.
-			res.Frames = make([]FrameResult, render.Frames, render.Frames)
-		} else {
-			res.Frames = make([]FrameResult, 0, render.Frames)
-		}
-		cmp.Results = append(cmp.Results, res)
+		cmp.Results = append(cmp.Results, &Results{
+			Workload: w.Name, Config: specConfig(render, spec),
+			Frames: make([]FrameResult, 0, render.Frames),
+		})
 	}
 	groups := specGroups(len(specs), par)
-	// With ranges > 1 every group is further sharded into that many
-	// frame-range workers chained by checkpoints (rangereplay.go); the
-	// flat worker list is group-major, range-minor, matching the error
-	// slots and consumer indices below.
-	frs := specGroups(render.Frames, ranges)
 	sweeps := make([]*sweepGroup, 0, len(groups))
-	rangedWorkers := make([]*rangeReplayer, 0, len(groups)*len(frs))
 	for gi, gr := range groups {
-		if ranges > 1 {
-			var prev *rangeLink
-			for k, fr := range frs {
-				ms, err := buildMultiSink(set, specs[gr[0]:gr[1]])
-				if err != nil {
-					return nil, err
-				}
-				g := &rangeReplayer{
-					sink:  ms,
-					specs: make([]*sweepSpecState, 0, gr[1]-gr[0]),
-					track: render.Trace.Track("replay range " + strconv.Itoa(gi) + "." + strconv.Itoa(k)),
-					start: fr[0], end: fr[1], frame: fr[0],
-					last: k == len(frs)-1,
-					in:   prev,
-					live: k == 0,
-				}
-				if k < len(frs)-1 {
-					g.out = newRangeLink()
-				}
-				prev = g.out
-				for i := gr[0]; i < gr[1]; i++ {
-					g.specs = append(g.specs, &sweepSpecState{
-						hier:     ms.specs[i-gr[0]].hier,
-						res:      cmp.Results[i],
-						replayed: render.Trace.Counter("replayed/" + specs[i].Name),
-					})
-				}
-				rangedWorkers = append(rangedWorkers, g)
-			}
-			continue
-		}
 		ms, err := buildMultiSink(set, specs[gr[0]:gr[1]])
 		if err != nil {
 			return nil, err
@@ -508,39 +452,26 @@ func runComparisonParallel(w *workload.Workload, render Config, specs []CacheSpe
 		reuse = newReuseProbe(set)
 	}
 
-	// Consumers of the chunk stream: one per replay worker (group × range),
-	// plus the coordinator's frame-ordered stats replay when the render
-	// farm is active (the serial render pass feeds the collectors inline).
+	// Consumers of the chunk stream: one per replay group, plus the
+	// coordinator's frame-ordered stats replay when the render farm is
+	// active (the serial render pass feeds the collectors inline).
 	farmWorkers := renderWorkerCount(render.RenderWorkers, render.Frames)
 	statsCi := -1
-	nconsumers := len(groups) * ranges
+	nconsumers := len(groups)
 	if farmWorkers > 1 && (collect != nil || reuse != nil) {
 		statsCi = nconsumers
 		nconsumers++
 	}
 	rt := newRenderedTrace(render.Frames, nconsumers, render.Trace)
 
-	errs := make([]error, len(groups)*ranges)
+	errs := make([]error, len(groups))
 	var wg sync.WaitGroup
-	if ranges > 1 {
-		for wi, g := range rangedWorkers {
-			gi := wi / ranges
-			gr := groups[gi]
-			span := strings.Join(cmp.Specs[gr[0]:gr[1]], "+") + "#" + strconv.Itoa(wi%ranges)
-			wg.Add(1)
-			go func(wi int, g *rangeReplayer, span string) {
-				defer wg.Done()
-				errs[wi] = replayRange(rt, wi, g, render.Tracer, span)
-			}(wi, g, span)
-		}
-	} else {
-		for gi, gr := range groups {
-			wg.Add(1)
-			go func(gi int, g *sweepGroup, span string) {
-				defer wg.Done()
-				errs[gi] = replayGroup(rt, gi, g, render.Tracer, span)
-			}(gi, sweeps[gi], strings.Join(cmp.Specs[gr[0]:gr[1]], "+"))
-		}
+	for gi, gr := range groups {
+		wg.Add(1)
+		go func(gi int, g *sweepGroup, span string) {
+			defer wg.Done()
+			errs[gi] = replayGroup(rt, gi, g, render.Tracer, span)
+		}(gi, sweeps[gi], strings.Join(cmp.Specs[gr[0]:gr[1]], "+"))
 	}
 
 	// The render pass: RenderWorkers selects between the serial oracle
@@ -557,13 +488,10 @@ func runComparisonParallel(w *workload.Workload, render Config, specs []CacheSpe
 	if renderErr != nil {
 		return nil, renderErr
 	}
-	for wi, err := range errs {
+	for gi, err := range errs {
 		if err != nil {
-			// Worker order is group-major, range-minor, so the first error
-			// is the earliest in group order, then stream order within it.
-			gr := groups[wi/ranges]
 			return nil, fmt.Errorf("core: specs %q: %w",
-				strings.Join(cmp.Specs[gr[0]:gr[1]], "+"), err)
+				strings.Join(cmp.Specs[groups[gi][0]:groups[gi][1]], "+"), err)
 		}
 	}
 

@@ -14,21 +14,14 @@ import (
 // the given clock and returns the Chrome trace_event export.
 func sweepTrace(t *testing.T, clock telemetry.Clock, par, rw int, fast bool) []byte {
 	t.Helper()
-	return sweepTraceRanged(t, clock, par, rw, 0, fast)
-}
-
-// sweepTraceRanged adds the intra-spec frame-range dimension.
-func sweepTraceRanged(t *testing.T, clock telemetry.Clock, par, rw, replay int, fast bool) []byte {
-	t.Helper()
 	cfg := testCfg()
 	cfg.Frames = 4
 	cfg.Parallelism = par
 	cfg.RenderWorkers = rw
-	cfg.ReplayWorkers = replay
 	cfg.FastSweep = fast
 	cfg.Trace = telemetry.NewTrace(clock)
 	if _, err := RunComparison(workload.Village(), cfg, telemetrySpecs()); err != nil {
-		t.Fatalf("par=%d rw=%d replay=%d fast=%v: %v", par, rw, replay, fast, err)
+		t.Fatalf("par=%d rw=%d fast=%v: %v", par, rw, fast, err)
 	}
 	var buf bytes.Buffer
 	if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
@@ -51,22 +44,19 @@ func TestTraceCanonicalDeterminism(t *testing.T) {
 		}
 	}
 	// Scheduling-dependent events must not leak into the canonical
-	// regime: physical track names, protocol instants, gauges — including
-	// the intra-spec range engine's tracks and hand-off events.
+	// regime: physical track names, protocol instants, gauges.
 	for _, reject := range []string{
 		"replay group", "render worker", "shard-publish", "chunk-bytes-inflight",
-		"replay range", "buffer", "drain", "checkpoint-publish",
 	} {
 		if bytes.Contains(base, []byte(reject)) {
 			t.Fatalf("canonical export leaks wall-only data %q:\n%s", reject, base)
 		}
 	}
-	for _, eng := range [][3]int{{4, 1, 0}, {4, 2, 0}, {2, 4, 0}, {0, 0, 0},
-		{1, 1, 2}, {1, 1, 4}, {2, 2, 3}, {0, 0, 4}} {
-		got := sweepTraceRanged(t, &telemetry.FakeClock{Step: 7}, eng[0], eng[1], eng[2], false)
+	for _, eng := range [][2]int{{4, 1}, {4, 2}, {2, 4}, {0, 0}} {
+		got := sweepTrace(t, &telemetry.FakeClock{Step: 7}, eng[0], eng[1], false)
 		if !bytes.Equal(got, base) {
-			t.Errorf("canonical trace at par=%d rw=%d replay=%d differs from serial (%d vs %d bytes)",
-				eng[0], eng[1], eng[2], len(got), len(base))
+			t.Errorf("canonical trace at par=%d rw=%d differs from serial (%d vs %d bytes)",
+				eng[0], eng[1], len(got), len(base))
 		}
 	}
 }

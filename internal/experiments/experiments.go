@@ -59,11 +59,6 @@ type Context struct {
 	// render-once/replay-many engine (0 = GOMAXPROCS, 1 = the serial
 	// render pass). Results are identical at every setting.
 	RenderWorkers int
-	// ReplayWorkers is forwarded to core.Config.ReplayWorkers for every
-	// cache sweep: it shards each spec group's replay into that many
-	// checkpoint-chained frame ranges (0 or 1 = whole-stream replay per
-	// group). Results are identical at every setting.
-	ReplayWorkers int
 	// FastSweep forwards core.Config.FastSweep to every cache sweep: the
 	// analytic reuse model predicts each model-reachable spec from one
 	// instrumented render instead of replaying it. Totals-based tables
@@ -232,7 +227,6 @@ func (c *Context) sweep(name string, mode raster.SampleMode) (*core.Comparison, 
 		Mode:          mode,
 		Parallelism:   c.Parallelism,
 		RenderWorkers: c.RenderWorkers,
-		ReplayWorkers: c.ReplayWorkers,
 		// Always collect the reuse profile: it is what the model
 		// experiment reports from, and in exact sweeps it attaches the
 		// per-spec model error to the comparison for free.
