@@ -30,15 +30,14 @@
 // Telemetry and profiling:
 //
 //	-metrics run.jsonl   stream per-frame counters (JSONL, or CSV via .csv)
-//	-manifest run.json   record config hash, environment, totals and spans
+//	-manifest run.json   record config hash, environment, totals and the
+//	                     per-phase timing table of the run's trace
 //	-reuse hist.json     reuse-distance histogram over L2 block addresses
 //	-trace out.json      worker-attributed Chrome trace_event file — open it
 //	                     in Perfetto (ui.perfetto.dev) or chrome://tracing;
 //	                     also prints the aggregated phase/straggler report
 //	-monitor addr        serve live JSON run snapshots over HTTP while the
 //	                     run is in flight (GET /snapshot, GET /trace)
-//	-spans out.jsonl     write the texscope phase-span log (read it back with
-//	                     tracetool spans)
 //	-cpuprofile cpu.pb   CPU profile; -memprofile heap.pb heap profile
 //
 //	texsim -workload village -sweep -metrics run.jsonl -manifest run.json
@@ -93,13 +92,12 @@ func run() int {
 		"render farm size for -sweep (0 = GOMAXPROCS, 1 = serial render pass)")
 	specsArg := flag.String("specs", "all", `comma-separated sweep spec names, or "all" (with -sweep)`)
 	metricsPath := flag.String("metrics", "", "write the per-frame metric stream here (.csv = CSV, else JSONL)")
-	manifestPath := flag.String("manifest", "", "write a run manifest (config hash, environment, totals, spans) here")
+	manifestPath := flag.String("manifest", "", "write a run manifest (config hash, environment, totals, phases) here")
 	reusePath := flag.String("reuse", "", "write a reuse-distance histogram over L2 block addresses here")
 	tracePath := flag.String("trace", "",
 		"write a worker-attributed Chrome trace_event file (Perfetto) here and print the phase report")
 	monitorAddr := flag.String("monitor", "",
 		"serve live run snapshots as JSON over HTTP on this address while running")
-	spansPath := flag.String("spans", "", "write the texscope phase-span log (JSONL, for tracetool spans) here")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write a heap profile here")
 	flag.Parse()
@@ -174,8 +172,8 @@ func run() int {
 	}
 
 	// Telemetry plumbing: the metric stream goes to -metrics, totals
-	// accumulate for the manifest, and the manifest run gets a wall-clock
-	// tracer whose spans ride along as sidecar data.
+	// accumulate for the manifest, and a wall-clock trace records the
+	// run's phases for -trace, -monitor and the manifest's phase table.
 	var totals telemetry.Totals
 	emitters := []telemetry.Emitter{&totals}
 	var flushMetrics func() error
@@ -209,10 +207,7 @@ func run() int {
 		}
 	}
 	cfg.Metrics = telemetry.Tee(emitters...)
-	if *manifestPath != "" || *spansPath != "" {
-		cfg.Tracer = telemetry.NewTracer(telemetry.NewWallClock())
-	}
-	if *tracePath != "" || *monitorAddr != "" {
+	if *tracePath != "" || *monitorAddr != "" || *manifestPath != "" {
 		cfg.Trace = telemetry.NewTrace(telemetry.NewWallClock())
 	}
 	if *monitorAddr != "" {
@@ -306,12 +301,6 @@ func run() int {
 			return 1
 		}
 	}
-	if *spansPath != "" {
-		if err := writeSpans(*spansPath, cfg.Tracer); err != nil {
-			fmt.Fprintln(os.Stderr, "texsim: writing spans:", err)
-			return 1
-		}
-	}
 	return 0
 }
 
@@ -350,20 +339,6 @@ func writeTrace(path string, tr *telemetry.Trace) error {
 	}
 	fmt.Printf("\ntrace written to %s (open in Perfetto or chrome://tracing)\n", path)
 	return tr.Report().WriteText(os.Stdout)
-}
-
-// writeSpans writes the texscope phase-span log as JSONL, the shape
-// tracetool spans reads back.
-func writeSpans(path string, tr *telemetry.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // selectSpecs resolves the -specs argument against the canonical sweep.
@@ -418,7 +393,7 @@ func writeReuse(path string, h *telemetry.ReuseHistogram) error {
 }
 
 // writeManifest records the run's identity: configuration fingerprint,
-// environment, spec list, stream totals, any recorded phase spans, and —
+// environment, spec list, stream totals, the trace's per-phase table, and —
 // for sweeps with a reuse profile — the per-spec model report.
 func writeManifest(path string, w *workload.Workload, cfg core.Config,
 	specs []core.CacheSpec, sweep bool, frames int, totals telemetry.RunTotals,
@@ -449,7 +424,9 @@ func writeManifest(path string, w *workload.Workload, cfg core.Config,
 	m.Workload = w.Name
 	m.Frames = frames
 	m.Totals = totals
-	m.Spans = cfg.Tracer.Spans()
+	if rep := cfg.Trace.Report(); rep != nil {
+		m.Phases = rep.Phases
+	}
 	m.Model = model
 
 	f, err := os.Create(path)

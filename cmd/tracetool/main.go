@@ -6,13 +6,11 @@
 //	tracetool record -workload village -o village.trace -frames 60
 //	tracetool info village.trace
 //	tracetool replay -workload village -l1 2048 -l2mb 2 village.trace
-//	tracetool spans run.jsonl
 //
 // The workload passed to replay must match the one that recorded the
 // trace: texture ids are assigned by the (deterministic) scene builder.
-// spans reads a texscope phase-span log (texsim -spans, or the spans
-// array of a -manifest file rewritten as JSONL) and prints a per-phase
-// summary table sorted by total time; "-" reads stdin.
+// Per-phase run timings are not a tracetool concern: texsim -trace
+// prints them, and texsim -manifest records them.
 package main
 
 import (
@@ -39,15 +37,13 @@ func main() {
 		info(os.Args[2:])
 	case "replay":
 		replay(os.Args[2:])
-	case "spans":
-		spans(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: tracetool record|info|replay|spans [flags] [file]")
+	fmt.Fprintln(os.Stderr, "usage: tracetool record|info|replay [flags] [file]")
 	os.Exit(2)
 }
 

@@ -71,22 +71,19 @@ type Config struct {
 	// Parallelism setting. Emission happens outside the per-texel hot
 	// path; a nil Metrics costs nothing.
 	Metrics telemetry.Emitter
-	// Tracer, when non-nil, records phase spans (render, encode,
-	// shard-publish, replay-per-spec, assemble) of the parallel sweep
-	// engine. Span timings are observational sidecar data and never feed
-	// back into simulation output.
-	Tracer *telemetry.Tracer
-	// Trace, when non-nil, is the textrace registry: worker-attributed
-	// span tracks (render worker N, replay group G, fast-probe), counter
+	// Trace, when non-nil, is the textrace registry, the simulator's one
+	// tracing system: worker-attributed span tracks (render, render
+	// worker N, replay group G, fast-probe, model, coordinator), counter
 	// tracks (chunk-pool bytes in flight, frames rendered, per-spec
 	// replay progress, replay queue depth) and instant events for
 	// protocol edges (shard publish, chunk abort, model refusal), across
-	// all three engines. Export it with WriteChromeTrace for
-	// Perfetto/chrome://tracing, or serve it live through
-	// telemetry.NewMonitor. Under a deterministic clock (FakeClock) the
-	// export is byte-identical at every Parallelism / RenderWorkers
-	// setting; a nil Trace costs one predictable branch per event site
-	// and allocates nothing.
+	// Run and every comparison engine. Export it with WriteChromeTrace
+	// for Perfetto/chrome://tracing, aggregate it with Report, or serve
+	// it live through telemetry.NewMonitor. Timings are observational
+	// sidecar data and never feed back into simulation output. Under a
+	// deterministic clock (FakeClock) the export is byte-identical at
+	// every Parallelism / RenderWorkers setting; a nil Trace costs one
+	// predictable branch per event site and allocates nothing.
 	Trace *telemetry.Trace
 	// CollectReuse enables the reuse-distance probe: an LRU stack
 	// distance histogram over L2 block addresses of the rendered

@@ -83,7 +83,6 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 	var framePixels []int64
 	results := make([]*Results, len(specs))
 	if len(replaySpecs) > 0 {
-		fb := render.Tracer.Start("exact-fallback")
 		sub := render
 		sub.FastSweep = false
 		var cmp *Comparison
@@ -93,7 +92,6 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 		} else {
 			cmp, err = runComparisonSerial(w, sub, replaySpecs, probe)
 		}
-		fb.End()
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +100,6 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 			results[i] = cmp.Results[j]
 		}
 	} else {
-		sp := render.Tracer.Start("render")
 		pt := render.Trace.Track("fast-probe")
 		rast, err := raster.New(raster.Config{
 			Width: render.Width, Height: render.Height,
@@ -125,11 +122,8 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 			framePixels = append(framePixels, rast.Pixels())
 			fr.End()
 		}
-		sp.End()
 	}
 
-	msp := render.Tracer.Start("model")
-	defer msp.End()
 	cmp := &Comparison{
 		Workload:    w.Name,
 		Render:      render,
@@ -143,15 +137,13 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 
 	// Snapshot the probe's exact TLB filters; their stats overwrite the
 	// modeled (absent) TLB numbers below.
-	tp := render.Tracer.Start("tlb-patch")
-	tlb2 := mt.Begin("model", "tlb-patch", int64(len(specs)))
+	tp := mt.Begin("model", "tlb-patch", int64(len(specs)))
 	tlbStats := make(map[int]cache.TLBStats)
 	for _, f := range probe.filters {
 		for _, t := range f.tlbs {
 			tlbStats[t.specIdx] = t.tlb.Stats()
 		}
 	}
-	tlb2.End()
 	tp.End()
 	for i, spec := range specs {
 		cmp.Specs[i] = spec.Name

@@ -94,7 +94,6 @@ func newRenderContext(render Config) (*renderContext, error) {
 func (rt *renderedTrace) renderFrame(rc *renderContext, w *workload.Workload, render Config, f int) error {
 	fr := rc.track.Begin("render", "frame", int64(f))
 	defer fr.End()
-	enc := render.Tracer.Start("encode")
 	cw := &chunkWriter{rt: rt, seq: rt.frames[f], f: f}
 	tw := trace.NewWriter(cw)
 	rc.sink.W = tw
@@ -102,16 +101,12 @@ func (rt *renderedTrace) renderFrame(rc *renderContext, w *workload.Workload, re
 	pst := rc.pipeline.RenderFrame(w.Scene, w.Camera(rc.aspect, f, render.Frames))
 	tw.EndFrame(rc.rast.Pixels())
 	if err := tw.Close(); err != nil {
-		enc.End()
 		cw.abandon()
 		return fmt.Errorf("core: sweep: encoding frame %d: %w", f, err)
 	}
-	enc.End()
-	pub := render.Tracer.Start("shard-publish")
 	rt.pipeline[f] = pst
 	rt.pixels[f] = rc.rast.Pixels()
 	cw.finish()
-	pub.End()
 	rc.track.Instant("", "shard-publish", int64(f), "")
 	rt.rendered.Add(1)
 	rt.rendered.Gauge(int64(f))
@@ -205,9 +200,6 @@ func (rt *renderedTrace) replayStats(collect *stats.Collector, reuse *reuseProbe
 // and the frame-ordered stats replay reproduces the serial collector
 // sequence.
 func (rt *renderedTrace) renderFarm(w *workload.Workload, render Config, collect *stats.Collector, reuse *reuseProbe, workers, statsCi int) error {
-	sp := render.Tracer.Start("render")
-	defer sp.End()
-
 	// Mesh bounds are memoized lazily on first use; warm them here so the
 	// workers' culling passes only read the shared scene.
 	w.Scene.PrepareBounds()

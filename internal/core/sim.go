@@ -203,12 +203,17 @@ func (s *Simulator) Run() (*Results, error) {
 	}
 	aspect := float64(s.cfg.Width) / float64(s.cfg.Height)
 	prev := s.hier.Counters()
+	// One "frame" span per rendered frame on the "render" track, as the
+	// comparison engines record; a nil Trace makes these no-ops.
+	tk := s.cfg.Trace.Track("render")
 	for f := 0; f < s.cfg.Frames; f++ {
 		cam := s.w.Camera(aspect, f, s.cfg.Frames)
 		if s.collect != nil {
 			s.collect.BeginFrame()
 		}
+		fspan := tk.Begin("render", "frame", int64(f))
 		pst := s.pipeline.RenderFrame(s.w.Scene, cam)
+		fspan.End()
 		fr := FrameResult{
 			Pipeline: pst,
 			Pixels:   s.rast.Pixels(),

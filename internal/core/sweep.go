@@ -210,12 +210,10 @@ func (rt *renderedTrace) consume(ci int, h trace.Handler) error {
 // render renders every frame of the workload under render's resolution,
 // frame count and filter, encoding the reference stream into pooled
 // chunks — each published to the replay workers as soon as it fills —
-// and feeding the optional working-set collector and reuse probe. When
-// render.Tracer is set, the pass records a "render" span with nested
-// per-frame "encode" and "shard-publish" spans.
+// and feeding the optional working-set collector and reuse probe. Each
+// frame is a "frame" span on the "render" track, followed by a
+// "shard-publish" instant once its chunks are published.
 func (rt *renderedTrace) render(w *workload.Workload, render Config, collect *stats.Collector, reuse *reuseProbe) error {
-	sp := render.Tracer.Start("render")
-	defer sp.End()
 	tk := rt.trc.Track("render")
 	rast, err := raster.New(raster.Config{
 		Width: render.Width, Height: render.Height,
@@ -252,7 +250,6 @@ func (rt *renderedTrace) render(w *workload.Workload, render Config, collect *st
 
 	for f := 0; f < render.Frames; f++ {
 		fr := tk.Begin("render", "frame", int64(f))
-		enc := render.Tracer.Start("encode")
 		cw := &chunkWriter{rt: rt, seq: rt.frames[f], f: f}
 		tw = trace.NewWriter(cw)
 		ts.W = tw
@@ -263,14 +260,11 @@ func (rt *renderedTrace) render(w *workload.Workload, render Config, collect *st
 		pst := pipeline.RenderFrame(w.Scene, w.Camera(aspect, f, render.Frames))
 		tw.EndFrame(rast.Pixels())
 		if err := tw.Close(); err != nil {
-			enc.End()
 			fr.End()
 			cw.abandon()
 			rt.abort(f)
 			return fmt.Errorf("core: sweep: encoding frame %d: %w", f, err)
 		}
-		enc.End()
-		pub := render.Tracer.Start("shard-publish")
 		rt.pipeline[f] = pst
 		rt.pixels[f] = rast.Pixels()
 		if collect != nil {
@@ -278,7 +272,6 @@ func (rt *renderedTrace) render(w *workload.Workload, render Config, collect *st
 			rt.stats[f] = collect.EndFrame()
 		}
 		cw.finish()
-		pub.End()
 		tk.Instant("", "shard-publish", int64(f), "")
 		rt.rendered.Add(1)
 		rt.rendered.Gauge(int64(f))
@@ -321,8 +314,9 @@ type sweepGroup struct {
 
 func (g *sweepGroup) BeginFrame() {
 	// Wall-only: the serial engine replays nothing, so replay frame
-	// spans carry no logical identity.
-	g.open = g.track.Begin("", "frame", int64(g.frame))
+	// spans carry no logical identity. The distinct name keeps them out
+	// of the render "frame" phase in the report.
+	g.open = g.track.Begin("", "replay-frame", int64(g.frame))
 }
 
 // Texel forwards one trusted reference to the group's fan-out sink.
@@ -354,11 +348,9 @@ func (g *sweepGroup) EndFrame(pixels int64) {
 // fans out to the group's hierarchies, so an N-spec sweep on P workers
 // costs P decodes instead of N. Each worker owns its hierarchies and
 // sinks; nothing here is shared with other workers except the released
-// chunks' refcounts and the mutex-protected tracer, which records one
-// "replay:<specs>" span per worker.
-func replayGroup(rt *renderedTrace, ci int, g *sweepGroup, tracer *telemetry.Tracer, span string) error {
-	sp := tracer.Start("replay:" + span)
-	defer sp.End()
+// chunks' refcounts. The whole pass is one "replay" span on the group's
+// track.
+func replayGroup(rt *renderedTrace, ci int, g *sweepGroup) error {
 	rg := g.track.Begin("", "replay", int64(ci))
 	defer rg.End()
 	if err := rt.consume(ci, g); err != nil {
@@ -466,12 +458,12 @@ func runComparisonParallel(w *workload.Workload, render Config, specs []CacheSpe
 
 	errs := make([]error, len(groups))
 	var wg sync.WaitGroup
-	for gi, gr := range groups {
+	for gi := range groups {
 		wg.Add(1)
-		go func(gi int, g *sweepGroup, span string) {
+		go func(gi int, g *sweepGroup) {
 			defer wg.Done()
-			errs[gi] = replayGroup(rt, gi, g, render.Tracer, span)
-		}(gi, sweeps[gi], strings.Join(cmp.Specs[gr[0]:gr[1]], "+"))
+			errs[gi] = replayGroup(rt, gi, g)
+		}(gi, sweeps[gi])
 	}
 
 	// The render pass: RenderWorkers selects between the serial oracle
@@ -497,10 +489,8 @@ func runComparisonParallel(w *workload.Workload, render Config, specs []CacheSpe
 
 	// Workers account pixels and counters from the stream; the geometry
 	// pipeline statistics come from the render pass.
-	asm := render.Tracer.Start("assemble")
+	asm := rt.coord.Begin("", "assemble", 0)
 	defer asm.End()
-	asm2 := rt.coord.Begin("", "assemble", 0)
-	defer asm2.End()
 	for _, res := range cmp.Results {
 		for f := range res.Frames {
 			res.Frames[f].Pipeline = rt.pipeline[f]

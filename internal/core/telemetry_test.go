@@ -102,7 +102,7 @@ func TestRunEmitsMetrics(t *testing.T) {
 	}
 }
 
-// TestRunWithoutTelemetry pins the defaults: no emitter, no tracer, no
+// TestRunWithoutTelemetry pins the defaults: no emitter, no trace, no
 // probe — nothing telemetry-shaped reaches the results.
 func TestRunWithoutTelemetry(t *testing.T) {
 	cfg := testCfg()
@@ -116,31 +116,63 @@ func TestRunWithoutTelemetry(t *testing.T) {
 	}
 }
 
-// TestSweepSpans checks the parallel engine records the advertised phase
-// spans through an injected deterministic clock.
+// phaseCounts maps each phase of the trace's report to its span count.
+func phaseCounts(tr *telemetry.Trace) map[string]int {
+	count := map[string]int{}
+	for _, p := range tr.Report().Phases {
+		count[p.Name] = p.Count
+	}
+	return count
+}
+
+// TestSweepSpans checks the parallel engine records the advertised
+// phases on a wall-clock trace: one render "frame" per frame, one
+// "replay" pass and one "replay-frame" per frame for each spec group,
+// one "assemble", and a "shard-publish" instant per frame in the export.
+// Replay frames are named apart from render frames, so the report's
+// "frame" phase (and its straggler median) measures rendering alone.
 func TestSweepSpans(t *testing.T) {
+	const frames = 3
 	cfg := testCfg()
-	cfg.Frames = 2
+	cfg.Frames = frames
 	cfg.Parallelism = 2
-	tracer := telemetry.NewTracer(&telemetry.FakeClock{Step: 1})
-	cfg.Tracer = tracer
+	cfg.Trace = telemetry.NewTrace(telemetry.NewWallClock())
 	specs := telemetrySpecs()[:2]
 	if _, err := RunComparison(workload.Village(), cfg, specs); err != nil {
 		t.Fatal(err)
 	}
-	count := map[string]int{}
-	for _, s := range tracer.Spans() {
-		count[s.Name]++
-	}
+	count := phaseCounts(cfg.Trace)
 	want := map[string]int{
-		"render": 1, "encode": 2, "shard-publish": 2,
-		"replay:pull-2k": 1, "replay:l2-2m": 1, "assemble": 1,
+		"frame": frames, "replay": 2, "replay-frame": 2 * frames, "assemble": 1,
 	}
 	for name, n := range want {
 		if count[name] != n {
-			t.Errorf("span %q recorded %d times, want %d (all: %v)",
+			t.Errorf("phase %q recorded %d times, want %d (all: %v)",
 				name, count[name], n, count)
 		}
+	}
+	var buf bytes.Buffer
+	if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Count(buf.Bytes(), []byte(`"name":"shard-publish"`)); got != frames {
+		t.Errorf("export has %d shard-publish instants, want %d", got, frames)
+	}
+}
+
+// TestRunRecordsFrameSpans checks the single-configuration simulator
+// records one render "frame" span per frame into Config.Trace.
+func TestRunRecordsFrameSpans(t *testing.T) {
+	cfg := testCfg()
+	cfg.Frames = 3
+	cfg.Trace = telemetry.NewTrace(&telemetry.FakeClock{Step: 1})
+	if _, err := Run(workload.Village(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	rep := cfg.Trace.Report()
+	if len(rep.Phases) != 1 || rep.Phases[0].Name != "frame" ||
+		rep.Phases[0].Count != cfg.Frames || rep.Phases[0].MaxTrack != "render" {
+		t.Fatalf("phases = %+v, want %d render frames", rep.Phases, cfg.Frames)
 	}
 }
 

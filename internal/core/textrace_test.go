@@ -47,6 +47,7 @@ func TestTraceCanonicalDeterminism(t *testing.T) {
 	// regime: physical track names, protocol instants, gauges.
 	for _, reject := range []string{
 		"replay group", "render worker", "shard-publish", "chunk-bytes-inflight",
+		"replay-frame",
 	} {
 		if bytes.Contains(base, []byte(reject)) {
 			t.Fatalf("canonical export leaks wall-only data %q:\n%s", reject, base)
@@ -100,15 +101,15 @@ func TestTraceFastSweepCanonicalDeterminism(t *testing.T) {
 }
 
 // TestTraceFastProbePhase covers the all-modeled branch: the bare
-// instrumented render records logical "probe" frame spans, and the old
-// Tracer gains the fast-sweep phase spans PR 8 left dark.
+// instrumented render records logical "probe" frame spans, and the
+// report carries the fast sweep's phases — one probe frame per frame,
+// one model "eval" per spec, one "tlb-patch".
 func TestTraceFastProbePhase(t *testing.T) {
 	specs := []CacheSpec{l2spec("l2-2m", 2*1024, 2, 16), l2spec("l2-4m", 2*1024, 4, 16)}
 	cfg := testCfg()
 	cfg.Frames = 3
 	cfg.FastSweep = true
 	cfg.Trace = telemetry.NewTrace(&telemetry.FakeClock{Step: 7})
-	cfg.Tracer = telemetry.NewTracer(&telemetry.FakeClock{Step: 7})
 	if _, err := RunComparison(workload.Village(), cfg, specs); err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +120,12 @@ func TestTraceFastProbePhase(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte(`"name":"probe"`)) {
 		t.Fatalf("all-modeled fast sweep missing probe track:\n%s", buf.Bytes())
 	}
-	names := map[string]int{}
-	for _, s := range cfg.Tracer.Spans() {
-		names[s.Name]++
-	}
-	for _, want := range []string{"render", "model", "tlb-patch"} {
-		if names[want] == 0 {
-			t.Errorf("fast sweep Tracer missing %q span (got %v)", want, names)
+	count := phaseCounts(cfg.Trace)
+	want := map[string]int{"frame": cfg.Frames, "eval": len(specs), "tlb-patch": 1}
+	for name, n := range want {
+		if count[name] != n {
+			t.Errorf("fast sweep phase %q recorded %d times, want %d (all: %v)",
+				name, count[name], n, count)
 		}
 	}
 }

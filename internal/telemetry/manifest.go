@@ -1,8 +1,8 @@
 // Run manifests: a sidecar record that makes every results file
 // traceable to the run that produced it — which binary configuration,
 // which environment, how much work. Manifests are observational output
-// and may carry wall-clock spans; they are never read back by the
-// simulator.
+// and may carry wall-clock phase timings; they are never read back by
+// the simulator.
 package telemetry
 
 import (
@@ -31,8 +31,9 @@ type Manifest struct {
 	// that collected a reuse profile: which specs the model covered,
 	// and its absolute error where an exact replay ran alongside.
 	Model []SpecModelError `json:"model,omitempty"`
-	// Spans carries the phase timing sidecar when a tracer was active.
-	Spans []Span `json:"spans,omitempty"`
+	// Phases carries the per-phase timing table of the run's textrace
+	// (Trace.Report().Phases) when one was recorded.
+	Phases []PhaseStat `json:"phases,omitempty"`
 }
 
 // SpecModelError is one sweep spec's entry in the manifest's model

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -33,7 +34,10 @@ func TestManifestWriteJSON(t *testing.T) {
 	m.Frames = 30
 	m.Specs = []string{"pull-16k", "l2-4m"}
 	m.Totals = RunTotals{FrameRecords: 60, TexelRefs: 1234}
-	m.Spans = []Span{{Name: "render", Start: 0, Dur: 5}}
+	m.Phases = []PhaseStat{{
+		Name: "frame", Count: 4, TotalNS: 20, MeanNS: 5, MaxNS: 8,
+		MaxTrack: "render", PctOfRun: 0.5,
+	}}
 
 	var sb strings.Builder
 	if err := m.WriteJSON(&sb); err != nil {
@@ -43,7 +47,10 @@ func TestManifestWriteJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
 		t.Fatalf("manifest is not valid JSON: %v\n%s", err, sb.String())
 	}
-	if back.Tool != m.Tool || back.Totals != m.Totals || len(back.Spans) != 1 {
+	if back.Tool != m.Tool || back.Totals != m.Totals || !reflect.DeepEqual(back.Phases, m.Phases) {
 		t.Errorf("round trip = %+v, want %+v", back, m)
+	}
+	if !strings.Contains(sb.String(), `"phases"`) || !strings.Contains(sb.String(), `"max_track": "render"`) {
+		t.Errorf("manifest JSON lacks the phases table:\n%s", sb.String())
 	}
 }

@@ -23,15 +23,15 @@ type TrackUtil struct {
 // PhaseStat aggregates every closed span with one name across all
 // tracks.
 type PhaseStat struct {
-	Name     string
-	Count    int
-	TotalNS  int64
-	MeanNS   int64
-	MaxNS    int64
-	MaxTrack string
+	Name     string `json:"name"`
+	Count    int    `json:"count"`
+	TotalNS  int64  `json:"total_ns"`
+	MeanNS   int64  `json:"mean_ns"`
+	MaxNS    int64  `json:"max_ns"`
+	MaxTrack string `json:"max_track"`
 	// PctOfRun is TotalNS over the run extent; above 1 means the phase
 	// ran concurrently on several tracks.
-	PctOfRun float64
+	PctOfRun float64 `json:"pct_of_run"`
 }
 
 // CriticalStep is one span on the run's critical path.

@@ -1,11 +1,12 @@
-// textrace: the concurrent, worker-attributed tracing registry. The
-// texscope Tracer (span.go) records nestable phase spans with no worker
-// identity; textrace records what every worker of the three concurrent
-// engines (render farm, partitioned replay pool, fast-sweep probe) is
-// doing — per-worker span tracks, counter tracks, and instant events
-// for protocol edges (shard publish, chunk abort, model refusal) — and
-// exports the whole run as Chrome trace_event JSON (traceevent.go) that
-// Perfetto or chrome://tracing opens directly.
+// textrace: the simulator's one tracing system, a concurrent,
+// worker-attributed registry. It records what every engine is doing —
+// the single-configuration run, the serial fan-out, the render farm, the
+// partitioned replay pool and the fast-sweep probe — as per-worker
+// nestable span tracks, counter tracks, and instant events for protocol
+// edges (shard publish, chunk abort, model refusal). It exports the
+// whole run as Chrome trace_event JSON (traceevent.go) that Perfetto or
+// chrome://tracing opens directly, and aggregates it into the per-phase
+// table a run manifest carries (report.go).
 //
 // Two regimes share one recording API, selected by the injected clock:
 //

@@ -324,6 +324,117 @@ func TestReportEmptyTrace(t *testing.T) {
 	}
 }
 
+// listClock returns its readings in order, one per call.
+type listClock struct {
+	at []int64
+	i  int
+}
+
+func (c *listClock) Now() int64 {
+	v := c.at[c.i]
+	c.i++
+	return v
+}
+
+// TestReportTextGolden pins the report table byte for byte against a
+// hand-built run of [0, 10ms): a coordinator render phase with a
+// repeated nested encode phase, then a replay phase on a second track.
+// Nested spans reach the phase table with their exact durations, while
+// only the outer one counts toward the track's busy time.
+func TestReportTextGolden(t *testing.T) {
+	tr := NewTrace(&listClock{at: []int64{
+		0, 1e6, 3e6, 4e6, 5.5e6, 6e6, // render [0,6) with encodes [1,3), [4,5.5)
+		6e6, 10e6, // replay [6,10)
+	}})
+	coord := tr.Track("coordinator")
+	render := coord.Begin("", "render", 0)
+	for i := int64(0); i < 2; i++ {
+		coord.Begin("", "encode", i).End()
+	}
+	render.End()
+	tr.Track("replay group 0").Begin("", "replay", 0).End()
+
+	want := "" +
+		"textrace report: run 10.000 ms, 2 tracks, critical path 10.000 ms\n" +
+		"  track                         busy ms   util   spans\n" +
+		"  coordinator                     6.000    60%       3\n" +
+		"  replay group 0                  4.000    40%       1\n" +
+		"  phase             count     total ms    mean ms     max ms   %run  max track\n" +
+		"  render                1        6.000      6.000      6.000    60%  coordinator\n" +
+		"  replay                1        4.000      4.000      4.000    40%  replay group 0\n" +
+		"  encode                2        3.500      1.750      2.000    35%  coordinator\n" +
+		"  critical: coordinator              render           seq 0      0.000 +6.000 ms\n" +
+		"  critical: replay group 0           replay           seq 0      6.000 +4.000 ms\n"
+	var buf bytes.Buffer
+	if err := tr.Report().WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != want {
+		t.Errorf("report mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestReportNestedSpans checks a span opened inside another on the same
+// track: each reaches the phase table with its exact FakeClock duration,
+// and only the outer one counts toward the track's busy time.
+func TestReportNestedSpans(t *testing.T) {
+	clock := &FakeClock{Step: 10}
+	tr := NewTrace(clock)
+	k := tr.Track("w")
+	outer := k.Begin("", "render", 0) // t=0
+	k.Begin("", "encode", 0).End()    // t=10..20
+	clock.NS += 5
+	outer.End() // t=35
+
+	rep := tr.Report()
+	if rep.DurationNS != 35 || len(rep.Tracks) != 1 ||
+		rep.Tracks[0].BusyNS != 35 || rep.Tracks[0].Spans != 2 {
+		t.Fatalf("report = %+v", rep)
+	}
+	got := map[string]int64{}
+	for _, p := range rep.Phases {
+		if p.Count != 1 {
+			t.Errorf("phase %s count = %d, want 1", p.Name, p.Count)
+		}
+		got[p.Name] = p.TotalNS
+	}
+	if len(got) != 2 || got["render"] != 35 || got["encode"] != 10 {
+		t.Errorf("phase totals = %v, want render 35, encode 10", got)
+	}
+}
+
+// TestReportPhaseTieBreak pins the deterministic ordering of phases with
+// equal totals: name order, whatever order they were recorded in.
+func TestReportPhaseTieBreak(t *testing.T) {
+	tr := NewTrace(&FakeClock{Step: 5})
+	k := tr.Track("w")
+	k.Begin("", "b", 0).End()
+	k.Begin("", "a", 1).End()
+	ph := tr.Report().Phases
+	if len(ph) != 2 || ph[0].Name != "a" || ph[1].Name != "b" || ph[0].TotalNS != ph[1].TotalNS {
+		t.Errorf("equal-total phases not in name order: %+v", ph)
+	}
+}
+
+// TestReportZeroDurationRun covers the degenerate all-zero-duration run:
+// no division by the empty run window.
+func TestReportZeroDurationRun(t *testing.T) {
+	tr := NewTrace(&FakeClock{NS: 7})
+	tr.Track("w").Begin("", "x", 0).End()
+	rep := tr.Report()
+	if rep.DurationNS != 0 || len(rep.Phases) != 1 || rep.Phases[0].PctOfRun != 0 ||
+		rep.Tracks[0].Utilization != 0 {
+		t.Fatalf("zero-run report = %+v", rep)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "run 0.000 ms") || strings.Contains(out, "NaN") {
+		t.Errorf("zero-run report text:\n%s", out)
+	}
+}
+
 // TestChromeTraceGolden pins the canonical export bytes of a small
 // hand-built trace, then validates the same document parses as the
 // trace_event JSON-object shape Perfetto expects.
