@@ -173,17 +173,16 @@ func BenchmarkVillageFrame(b *testing.B) {
 // every texel through 13 hierarchies in one goroutine.
 // ---------------------------------------------------------------------------
 
-func benchSweep(b *testing.B, parallelism, renderWorkers int, fast bool) {
+func benchSweep(b *testing.B, parallelism int, fast bool) {
 	b.Helper()
 	scale := experiments.Bench()
 	render := core.Config{
-		Width:         scale.Width,
-		Height:        scale.Height,
-		Frames:        scale.VillageFrames,
-		Mode:          raster.Trilinear,
-		Parallelism:   parallelism,
-		RenderWorkers: renderWorkers,
-		FastSweep:     fast,
+		Width:       scale.Width,
+		Height:      scale.Height,
+		Frames:      scale.VillageFrames,
+		Mode:        raster.Trilinear,
+		Parallelism: parallelism,
+		FastSweep:   fast,
 	}
 	specs := experiments.SweepSpecs()
 	b.ReportAllocs()
@@ -195,26 +194,20 @@ func benchSweep(b *testing.B, parallelism, renderWorkers int, fast bool) {
 }
 
 // BenchmarkSweepSerial is the legacy single-goroutine engine.
-func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1, 1, false) }
+func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1, false) }
 
-// BenchmarkSweepParallel4 bounds the pool at four replay workers, with the
-// render farm at its GOMAXPROCS default.
-func BenchmarkSweepParallel4(b *testing.B) { benchSweep(b, 4, 0, false) }
+// BenchmarkSweepParallel4 bounds the pool at four replay workers.
+func BenchmarkSweepParallel4(b *testing.B) { benchSweep(b, 4, false) }
 
-// BenchmarkSweepParallel uses the default pool (GOMAXPROCS replay workers
-// and render farm) — the fully parallel engine.
-func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0, 0, false) }
-
-// BenchmarkSweepParallelRenderSerial isolates the render farm's
-// contribution: parallel replay as in BenchmarkSweepParallel, but with the
-// serial render pass (RenderWorkers 1, the farm's oracle).
-func BenchmarkSweepParallelRenderSerial(b *testing.B) { benchSweep(b, 0, 1, false) }
+// BenchmarkSweepParallel uses the default pool of GOMAXPROCS replay
+// workers.
+func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0, false) }
 
 // BenchmarkSweepFast is the analytic engine: one instrumented render
 // feeds the reuse model, which predicts every model-reachable spec's
 // counters — for the canonical sweep the replay set is empty, so no
 // trace is recorded or replayed at all.
-func BenchmarkSweepFast(b *testing.B) { benchSweep(b, 0, 0, true) }
+func BenchmarkSweepFast(b *testing.B) { benchSweep(b, 0, true) }
 
 // BenchmarkReplaySingleSpecSerial measures ReplayTrace: one recorded
 // Village stream replayed through a single 2 MB L2 hierarchy. The trace

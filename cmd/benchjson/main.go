@@ -47,14 +47,13 @@ const regressionLimit = 1.25
 
 // benchResult is one benchmark's single-iteration sample.
 type benchResult struct {
-	Name          string `json:"name"`
-	Parallelism   int    `json:"parallelism"`
-	RenderWorkers int    `json:"render_workers"`
-	NsPerOp       int64  `json:"ns_per_op"`
-	AllocsPerOp   int64  `json:"allocs_per_op"`
-	BytesPerOp    int64  `json:"bytes_per_op"`
-	Frames        int    `json:"frames"`
-	Specs         int    `json:"specs"`
+	Name        string `json:"name"`
+	Parallelism int    `json:"parallelism"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
+	Frames      int    `json:"frames"`
+	Specs       int    `json:"specs"`
 }
 
 // report is the artifact document.
@@ -82,21 +81,18 @@ func run() int {
 	specs := experiments.SweepSpecs()
 
 	// Mirror bench_test.go's sweep benchmarks: the serial reference
-	// engine, a bounded 4-worker pool, the GOMAXPROCS default (replay pool
-	// and render farm both parallel), the farm-isolating variant that
-	// keeps the render pass serial, and the analytic -fast engine (one
-	// instrumented render, no replay).
+	// engine, a bounded 4-worker pool, the GOMAXPROCS default replay
+	// pool, and the analytic -fast engine (one instrumented render, no
+	// replay).
 	cases := []struct {
-		name          string
-		parallelism   int
-		renderWorkers int
-		fast          bool
+		name        string
+		parallelism int
+		fast        bool
 	}{
-		{"SweepSerial", 1, 1, false},
-		{"SweepParallel4", 4, 0, false},
-		{"SweepParallel", 0, 0, false},
-		{"SweepParallelRenderSerial", 0, 1, false},
-		{"SweepFast", 0, 0, true},
+		{"SweepSerial", 1, false},
+		{"SweepParallel4", 4, false},
+		{"SweepParallel", 0, false},
+		{"SweepFast", 0, true},
 	}
 
 	clock := telemetry.NewWallClock()
@@ -117,7 +113,6 @@ func run() int {
 	for _, bc := range cases {
 		cfg := render
 		cfg.Parallelism = bc.parallelism
-		cfg.RenderWorkers = bc.renderWorkers
 		cfg.FastSweep = bc.fast
 
 		// Quiesce the heap so alloc deltas attribute to the run alone.
@@ -133,14 +128,13 @@ func run() int {
 			return 1
 		}
 		rep.Benchmarks = append(rep.Benchmarks, benchResult{
-			Name:          bc.name,
-			Parallelism:   bc.parallelism,
-			RenderWorkers: bc.renderWorkers,
-			NsPerOp:       elapsed,
-			AllocsPerOp:   int64(after.Mallocs - before.Mallocs),
-			BytesPerOp:    int64(after.TotalAlloc - before.TotalAlloc),
-			Frames:        len(cmp.FramePixels),
-			Specs:         len(cmp.Results),
+			Name:        bc.name,
+			Parallelism: bc.parallelism,
+			NsPerOp:     elapsed,
+			AllocsPerOp: int64(after.Mallocs - before.Mallocs),
+			BytesPerOp:  int64(after.TotalAlloc - before.TotalAlloc),
+			Frames:      len(cmp.FramePixels),
+			Specs:       len(cmp.Results),
 		})
 		fmt.Fprintf(os.Stderr, "benchjson: %-25s %12d ns/op %12d allocs/op\n",
 			bc.name, elapsed, after.Mallocs-before.Mallocs)

@@ -39,8 +39,6 @@ func run() int {
 	out := flag.String("o", "", "write output to file instead of stdout")
 	parallel := flag.Int("parallel", 0,
 		"worker pool size for prefetch and cache sweeps (0 = GOMAXPROCS, -1 = serial)")
-	renderWorkers := flag.Int("renderworkers", 0,
-		"render farm size for cache sweeps (0 = GOMAXPROCS, -1 or 1 = serial render pass)")
 	fast := flag.Bool("fast", false,
 		"analytic cache sweeps: predict model-reachable specs from one reuse-profile pass; per-frame figures then report totals only")
 	csvDir := flag.String("csv", "", "also export per-frame figure series as CSV into this directory")
@@ -113,11 +111,6 @@ func run() int {
 		ctx.Parallelism = 1 // serial reference engine
 	} else {
 		ctx.Parallelism = *parallel
-	}
-	if *renderWorkers < 0 {
-		ctx.RenderWorkers = 1 // serial render pass
-	} else {
-		ctx.RenderWorkers = *renderWorkers
 	}
 	ctx.FastSweep = *fast
 

@@ -11,11 +11,10 @@
 // With -sweep the workload is rendered once and the reference stream is
 // replayed through the canonical cache sweep (the same 13 specs the
 // experiment suite uses; -specs selects a comma-separated subset) on the
-// parallel sweep engine; -parallel bounds the replay worker pool and
-// -renderworkers the frame-parallel render farm (for both, 0 = GOMAXPROCS,
-// 1 = the serial reference path):
+// parallel sweep engine; -parallel bounds the replay worker pool (0 =
+// GOMAXPROCS, 1 = the serial reference path):
 //
-//	texsim -workload city -sweep -parallel 4 -renderworkers 4 -specs pull-2k,l2-2m
+//	texsim -workload city -sweep -parallel 4 -specs pull-2k,l2-2m
 //
 // With -sweep -fast the replay collapses to one instrumented render: the
 // analytic reuse model (internal/model/reusemodel) predicts every
@@ -88,8 +87,6 @@ func run() int {
 	fast := flag.Bool("fast", false,
 		"with -sweep: predict model-reachable specs analytically from one instrumented render")
 	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	renderWorkers := flag.Int("renderworkers", 0,
-		"render farm size for -sweep (0 = GOMAXPROCS, 1 = serial render pass)")
 	specsArg := flag.String("specs", "all", `comma-separated sweep spec names, or "all" (with -sweep)`)
 	metricsPath := flag.String("metrics", "", "write the per-frame metric stream here (.csv = CSV, else JSONL)")
 	manifestPath := flag.String("manifest", "", "write a run manifest (config hash, environment, totals, phases) here")
@@ -255,7 +252,6 @@ func run() int {
 	simFrames := 0
 	if *sweep {
 		cfg.Parallelism = *parallel
-		cfg.RenderWorkers = *renderWorkers
 		cfg.FastSweep = *fast
 		cmp, err := core.RunComparison(w, cfg, specs)
 		if err != nil {

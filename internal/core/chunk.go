@@ -165,24 +165,6 @@ func (s *chunkSeq) wasAborted() bool {
 	return s.aborted
 }
 
-// bytes joins the published chunks into one contiguous shard. Only
-// meaningful in retain mode (a renderedTrace with zero consumers, where
-// chunks are never recycled); the render-identity tests compare shard
-// bytes across engine configurations with it.
-func (s *chunkSeq) bytes() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, c := range s.chunks {
-		n += len(c.data)
-	}
-	out := make([]byte, 0, n)
-	for _, c := range s.chunks {
-		out = append(out, c.data...)
-	}
-	return out
-}
-
 // chunkWriter is the io.Writer a frame's trace encoder drains into: it
 // packs the stream into pooled chunks and publishes each one as it
 // fills, so replay overlaps the rendering of the frame itself.

@@ -55,16 +55,6 @@ type Config struct {
 	// setting; the knob trades memory (the in-memory trace, roughly 2-3
 	// bytes per texel reference) for wall-clock. Negative is invalid.
 	Parallelism int
-	// RenderWorkers sizes the frame-parallel render farm of comparison
-	// sweeps: 0 means runtime.GOMAXPROCS(0), 1 keeps the serial render
-	// pass (the oracle the farm is tested against), and higher values
-	// render frames out of order on that many per-worker render contexts.
-	// The knob only applies when the render-once/replay-many engine runs
-	// (Parallelism != 1 with at least two specs); the serial reference
-	// fan-out always renders serially. Shards and the assembled
-	// Comparison are byte-identical at every setting. Negative is
-	// invalid.
-	RenderWorkers int
 	// Metrics, when non-nil, receives one telemetry record per simulated
 	// frame (and per cache spec in comparison runs) in a deterministic
 	// frame-major, spec-minor order that is identical at every
@@ -72,18 +62,18 @@ type Config struct {
 	// path; a nil Metrics costs nothing.
 	Metrics telemetry.Emitter
 	// Trace, when non-nil, is the textrace registry, the simulator's one
-	// tracing system: worker-attributed span tracks (render, render
-	// worker N, replay group G, fast-probe, model, coordinator), counter
-	// tracks (chunk-pool bytes in flight, frames rendered, per-spec
-	// replay progress, replay queue depth) and instant events for
-	// protocol edges (shard publish, chunk abort, model refusal), across
-	// Run and every comparison engine. Export it with WriteChromeTrace
+	// tracing system: worker-attributed span tracks (render, replay
+	// group G, fast-probe, model, coordinator), counter tracks
+	// (chunk-pool bytes in flight, frames rendered, per-spec replay
+	// progress, replay queue depth) and instant events for protocol
+	// edges (shard publish, chunk abort, model refusal), across Run and
+	// every comparison engine. Export it with WriteChromeTrace
 	// for Perfetto/chrome://tracing, aggregate it with Report, or serve
 	// it live through telemetry.NewMonitor. Timings are observational
 	// sidecar data and never feed back into simulation output. Under a
 	// deterministic clock (FakeClock) the export is byte-identical at
-	// every Parallelism / RenderWorkers setting; a nil Trace costs one
-	// predictable branch per event site and allocates nothing.
+	// every Parallelism setting; a nil Trace costs one predictable
+	// branch per event site and allocates nothing.
 	Trace *telemetry.Trace
 	// CollectReuse enables the reuse-distance probe: an LRU stack
 	// distance histogram over L2 block addresses of the rendered
@@ -114,9 +104,6 @@ func (c Config) Validate() error {
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: negative parallelism %d", c.Parallelism)
-	}
-	if c.RenderWorkers < 0 {
-		return fmt.Errorf("core: negative render workers %d", c.RenderWorkers)
 	}
 	if err := validateCache("", c.L2, c.TLBEntries); err != nil {
 		return err

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"texcache/internal/cache"
@@ -59,7 +60,9 @@ func TestConfigValidate(t *testing.T) {
 // TestHostileCacheConfigsReturnErrors feeds cache configurations that
 // pass a plain layout check but cannot be built as the hierarchy builds
 // them (the L2 sub-block is forced to the 4x4 L1 tile) to every entry
-// point. Each must return a *ConfigError, never panic.
+// point. Each must return a *ConfigError, never panic. An unknown filter
+// mode is fed to the same entry points plus RecordTrace: those that
+// rasterize must return an error, and none may panic.
 func TestHostileCacheConfigsReturnErrors(t *testing.T) {
 	small := testCfg()
 	small.Width, small.Height, small.Frames = 64, 48, 2
@@ -70,11 +73,15 @@ func TestHostileCacheConfigsReturnErrors(t *testing.T) {
 	hostile := []struct {
 		name   string
 		mutate func(*Config)
+		// mode marks the filter-mode case, which is not a cache
+		// configuration and so yields no *ConfigError.
+		mode bool
 	}{
-		{"L2 tile below the L1 tile", func(c *Config) { c.L2.Layout = texture.TileLayout{L2Size: 2, L1Size: 1} }},
-		{"unknown policy", func(c *Config) { c.L2.Policy = cache.PolicyKind(99) }},
-		{"size not a block multiple", func(c *Config) { c.L2.SizeBytes = 1000 }},
-		{"negative TLB entries", func(c *Config) { c.TLBEntries = -1 }},
+		{"L2 tile below the L1 tile", func(c *Config) { c.L2.Layout = texture.TileLayout{L2Size: 2, L1Size: 1} }, false},
+		{"unknown policy", func(c *Config) { c.L2.Policy = cache.PolicyKind(99) }, false},
+		{"size not a block multiple", func(c *Config) { c.L2.SizeBytes = 1000 }, false},
+		{"negative TLB entries", func(c *Config) { c.TLBEntries = -1 }, false},
+		{"unknown sample mode", func(c *Config) { c.Mode = raster.SampleMode(99) }, true},
 	}
 	comparison := func(par int, fast bool) func(Config) error {
 		return func(cfg Config) error {
@@ -89,33 +96,43 @@ func TestHostileCacheConfigsReturnErrors(t *testing.T) {
 			return err
 		}
 	}
+	// cache marks the entry points that build cache hierarchies, render
+	// those that rasterize.
 	entries := []struct {
-		name string
-		run  func(Config) error
+		name          string
+		cache, render bool
+		run           func(Config) error
 	}{
-		{"Run", func(cfg Config) error { _, err := Run(workload.Village(), cfg); return err }},
-		{"RunComparison/par1", comparison(1, false)},
-		{"RunComparison/par2", comparison(2, false)},
-		{"RunComparison/fast", comparison(0, true)},
-		{"ReplayTrace", func(cfg Config) error {
+		{"Run", true, true, func(cfg Config) error { _, err := Run(workload.Village(), cfg); return err }},
+		{"RunComparison/par1", true, true, comparison(1, false)},
+		{"RunComparison/par2", true, true, comparison(2, false)},
+		{"RunComparison/fast", true, true, comparison(0, true)},
+		{"ReplayTrace", true, false, func(cfg Config) error {
 			_, err := ReplayTrace(bytes.NewReader(stream.Bytes()), workload.Village().Scene.Textures, cfg)
 			return err
 		}},
 		// The builders check again for callers that skip Validate.
-		{"buildHierarchy", func(cfg Config) error {
+		{"buildHierarchy", true, false, func(cfg Config) error {
 			_, _, err := buildHierarchy(workload.Village().Scene.Textures, cfg)
 			return err
 		}},
-		{"buildMultiSink", func(cfg Config) error {
+		{"buildMultiSink", true, false, func(cfg Config) error {
 			set := workload.Village().Scene.Textures
 			set.MustPrepare(texture.CanonicalL1())
 			spec := CacheSpec{Name: "hostile", L1Bytes: cfg.L1Bytes, L2: cfg.L2, TLBEntries: cfg.TLBEntries}
 			_, err := buildMultiSink(set, []CacheSpec{spec})
 			return err
 		}},
+		{"RecordTrace", false, true, func(cfg Config) error {
+			_, err := RecordTrace(workload.Village(), cfg, io.Discard)
+			return err
+		}},
 	}
 	for _, h := range hostile {
 		for _, e := range entries {
+			if !h.mode && !e.cache {
+				continue
+			}
 			t.Run(h.name+"/"+e.name, func(t *testing.T) {
 				cfg := withL2(small, 2)
 				l2 := *cfg.L2
@@ -127,6 +144,12 @@ func TestHostileCacheConfigsReturnErrors(t *testing.T) {
 					}
 				}()
 				err := e.run(cfg)
+				if h.mode {
+					if e.render && err == nil {
+						t.Fatal("err = nil, want an error")
+					}
+					return
+				}
 				var ce *ConfigError
 				if !errors.As(err, &ce) {
 					t.Fatalf("err = %v, want a *ConfigError", err)

@@ -57,13 +57,11 @@ func sweepWorkers(parallelism, nspecs int) int {
 // everything else the assembled Comparison needs from the render pass.
 // Each frame is a complete stream (header plus one whole frame) held as
 // a chunkSeq, so it replays independently and the per-frame delta coder
-// restarts at every frame boundary. Consumers (replay groups, the
-// farm's stats replay) are registered up front: every published chunk
-// starts with one reference per consumer and returns to the pool when
-// the last one releases it. With zero consumers the trace is retained
-// whole — the mode tests use to compare shard bytes directly. pipeline,
-// pixels and stats are touched only by the render pass and, after all
-// workers are joined, the coordinator.
+// restarts at every frame boundary. Consumers (the replay groups) are
+// registered up front: every published chunk starts with one reference
+// per consumer and returns to the pool when the last one releases it.
+// pipeline, pixels and stats are touched only by the render pass and,
+// after all workers are joined, the coordinator.
 type renderedTrace struct {
 	pool      *chunkPool
 	frames    []*chunkSeq
@@ -444,17 +442,9 @@ func runComparisonParallel(w *workload.Workload, render Config, specs []CacheSpe
 		reuse = newReuseProbe(set)
 	}
 
-	// Consumers of the chunk stream: one per replay group, plus the
-	// coordinator's frame-ordered stats replay when the render farm is
-	// active (the serial render pass feeds the collectors inline).
-	farmWorkers := renderWorkerCount(render.RenderWorkers, render.Frames)
-	statsCi := -1
-	nconsumers := len(groups)
-	if farmWorkers > 1 && (collect != nil || reuse != nil) {
-		statsCi = nconsumers
-		nconsumers++
-	}
-	rt := newRenderedTrace(render.Frames, nconsumers, render.Trace)
+	// One chunk consumer per replay group; the render pass feeds the
+	// collectors inline.
+	rt := newRenderedTrace(render.Frames, len(groups), render.Trace)
 
 	errs := make([]error, len(groups))
 	var wg sync.WaitGroup
@@ -466,16 +456,7 @@ func runComparisonParallel(w *workload.Workload, render Config, specs []CacheSpe
 		}(gi, sweeps[gi])
 	}
 
-	// The render pass: RenderWorkers selects between the serial oracle
-	// and the frame-parallel farm (renderfarm.go); both publish chunks
-	// through the same chunkSeq contract and produce byte-identical
-	// streams, so the replay pool above is oblivious to the choice.
-	var renderErr error
-	if farmWorkers > 1 {
-		renderErr = rt.renderFarm(w, render, collect, reuse, farmWorkers, statsCi)
-	} else {
-		renderErr = rt.render(w, render, collect, reuse)
-	}
+	renderErr := rt.render(w, render, collect, reuse)
 	wg.Wait()
 	if renderErr != nil {
 		return nil, renderErr

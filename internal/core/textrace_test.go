@@ -12,16 +12,15 @@ import (
 
 // sweepTrace runs the canonical sweep at the given engine settings with
 // the given clock and returns the Chrome trace_event export.
-func sweepTrace(t *testing.T, clock telemetry.Clock, par, rw int, fast bool) []byte {
+func sweepTrace(t *testing.T, clock telemetry.Clock, par int, fast bool) []byte {
 	t.Helper()
 	cfg := testCfg()
 	cfg.Frames = 4
 	cfg.Parallelism = par
-	cfg.RenderWorkers = rw
 	cfg.FastSweep = fast
 	cfg.Trace = telemetry.NewTrace(clock)
 	if _, err := RunComparison(workload.Village(), cfg, telemetrySpecs()); err != nil {
-		t.Fatalf("par=%d rw=%d fast=%v: %v", par, rw, fast, err)
+		t.Fatalf("par=%d fast=%v: %v", par, fast, err)
 	}
 	var buf bytes.Buffer
 	if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
@@ -32,10 +31,10 @@ func sweepTrace(t *testing.T, clock telemetry.Clock, par, rw int, fast bool) []b
 
 // TestTraceCanonicalDeterminism pins the tentpole acceptance criterion:
 // under FakeClock the exported trace bytes are identical at every
-// Parallelism / RenderWorkers setting — including the serial reference
-// engine, which shares no code with the worker pool.
+// Parallelism setting — including the serial reference engine, which
+// shares no code with the worker pool.
 func TestTraceCanonicalDeterminism(t *testing.T) {
-	base := sweepTrace(t, &telemetry.FakeClock{Step: 7}, 1, 1, false)
+	base := sweepTrace(t, &telemetry.FakeClock{Step: 7}, 1, false)
 	for _, want := range []string{
 		`"name":"frame"`, `"name":"render"`, `"replayed/pull-2k"`, `"replayed/l2-4m"`,
 	} {
@@ -53,11 +52,11 @@ func TestTraceCanonicalDeterminism(t *testing.T) {
 			t.Fatalf("canonical export leaks wall-only data %q:\n%s", reject, base)
 		}
 	}
-	for _, eng := range [][2]int{{4, 1}, {4, 2}, {2, 4}, {0, 0}} {
-		got := sweepTrace(t, &telemetry.FakeClock{Step: 7}, eng[0], eng[1], false)
+	for _, par := range []int{4, 2, 0} {
+		got := sweepTrace(t, &telemetry.FakeClock{Step: 7}, par, false)
 		if !bytes.Equal(got, base) {
-			t.Errorf("canonical trace at par=%d rw=%d differs from serial (%d vs %d bytes)",
-				eng[0], eng[1], len(got), len(base))
+			t.Errorf("canonical trace at par=%d differs from serial (%d vs %d bytes)",
+				par, len(got), len(base))
 		}
 	}
 }
@@ -135,7 +134,7 @@ func TestTraceFastProbePhase(t *testing.T) {
 // carries at least 3 distinct worker tracks and at least 2 counter
 // tracks, in valid trace_event shape.
 func TestTraceWallExportShape(t *testing.T) {
-	data := sweepTrace(t, &stepTestClock{step: 1000}, 4, 2, false)
+	data := sweepTrace(t, &stepTestClock{step: 1000}, 4, false)
 	var doc struct {
 		TraceEvents []struct {
 			Ph   string `json:"ph"`
@@ -154,9 +153,7 @@ func TestTraceWallExportShape(t *testing.T) {
 		switch ev.Ph {
 		case "M":
 			if ev.Name == "thread_name" {
-				n := ev.Args.Name
-				if strings.HasPrefix(n, "render worker ") ||
-					strings.HasPrefix(n, "replay group ") {
+				if n := ev.Args.Name; strings.HasPrefix(n, "replay group ") {
 					workerTracks[n] = true
 				}
 			}
@@ -171,7 +168,7 @@ func TestTraceWallExportShape(t *testing.T) {
 		t.Errorf("wall export has %d counter tracks (%v), want >= 2", len(counters), counters)
 	}
 	for _, want := range []string{"shard-publish", "replay group 0", "replay group 3",
-		"render worker 0", "render worker 1", "coordinator", "assemble"} {
+		"coordinator", "assemble"} {
 		if !bytes.Contains(data, []byte(want)) {
 			t.Errorf("wall export missing %q", want)
 		}

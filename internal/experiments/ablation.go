@@ -24,7 +24,6 @@ func (c *Context) AblationZ() error {
 				Mode:           raster.Trilinear,
 				ZBeforeTexture: zFirst,
 				Parallelism:    c.Parallelism,
-				RenderWorkers:  c.RenderWorkers,
 			}
 			cmp, err := core.RunComparison(c.workloadByName(name), render,
 				[]core.CacheSpec{l2Spec("l2", 2<<10, 2, 0)})
@@ -75,12 +74,11 @@ func (c *Context) AblationRepl() error {
 			})
 		}
 		render := core.Config{
-			Width:         c.Scale.Width,
-			Height:        c.Scale.Height,
-			Frames:        c.frames(name),
-			Mode:          raster.Trilinear,
-			Parallelism:   c.Parallelism,
-			RenderWorkers: c.RenderWorkers,
+			Width:       c.Scale.Width,
+			Height:      c.Scale.Height,
+			Frames:      c.frames(name),
+			Mode:        raster.Trilinear,
+			Parallelism: c.Parallelism,
 		}
 		cmp, err := core.RunComparison(c.workloadByName(name), render, specs)
 		if err != nil {
@@ -128,12 +126,11 @@ func (c *Context) AblationSector() error {
 			},
 		}
 		render := core.Config{
-			Width:         c.Scale.Width,
-			Height:        c.Scale.Height,
-			Frames:        c.frames(name),
-			Mode:          raster.Trilinear,
-			Parallelism:   c.Parallelism,
-			RenderWorkers: c.RenderWorkers,
+			Width:       c.Scale.Width,
+			Height:      c.Scale.Height,
+			Frames:      c.frames(name),
+			Mode:        raster.Trilinear,
+			Parallelism: c.Parallelism,
 		}
 		cmp, err := core.RunComparison(c.workloadByName(name), render, specs)
 		if err != nil {
@@ -176,12 +173,11 @@ func (c *Context) AblationAssoc() error {
 		})
 	}
 	render := core.Config{
-		Width:         c.Scale.Width,
-		Height:        c.Scale.Height,
-		Frames:        c.frames("village"),
-		Mode:          raster.Trilinear,
-		Parallelism:   c.Parallelism,
-		RenderWorkers: c.RenderWorkers,
+		Width:       c.Scale.Width,
+		Height:      c.Scale.Height,
+		Frames:      c.frames("village"),
+		Mode:        raster.Trilinear,
+		Parallelism: c.Parallelism,
 	}
 	cmp, err := core.RunComparison(c.workloadByName("village"), render, specs)
 	if err != nil {

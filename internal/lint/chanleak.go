@@ -4,8 +4,8 @@ package lint
 // would unblock them may be gone: a worker spawned to send its result on an
 // unbuffered channel leaks when an error path returns from the spawning
 // function before the receive. This is the bug class that silently strands
-// render-farm and sweep workers — the miss counters still add up, the
-// process just accretes parked goroutines.
+// sweep workers — the miss counters still add up, the process just
+// accretes parked goroutines.
 //
 // The check is deliberately narrow to stay quiet: it considers only
 // channels created locally with make(chan T) (unbuffered), whose variable

@@ -10,8 +10,8 @@ package lint
 //     only legitimate when ownership was transferred, asserted with a
 //     //texsim:closes annotation on the closing function;
 //   - publication contract: a function annotated
-//     //texsim:publishes <payload> <announce> promises the render farm's
-//     store-then-close idiom — every close of an <announce> channel must
+//     //texsim:publishes <payload> <announce> promises the
+//     store-then-close publication idiom — every close of an <announce> channel must
 //     be preceded, within its own basic block, by a store into <payload>,
 //     so a reader woken by the close always observes the published data.
 //

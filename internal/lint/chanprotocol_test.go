@@ -52,7 +52,7 @@ type rendered struct {
 	ready  []chan struct{}
 }
 
-// Render-farm miniature: store the shard, then announce it.
+// Publication miniature: store the shard, then announce it.
 //
 //texsim:publishes shards ready
 func (rt *rendered) publish(f int, data []byte) {

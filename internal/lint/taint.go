@@ -85,7 +85,7 @@ func newTaintTracker(info *types.Info, flow *FlowFacts) *taintTracker {
 }
 
 // sinkFields are struct-field names whose slots feed deterministic output
-// downstream (sweep Results, render-farm Frames, trace Records/Shards);
+// downstream (sweep Results and Frames, trace Records/Shards);
 // storing an order-tainted value into one is a sink.
 var sinkFields = map[string]bool{
 	"Results": true, "Frames": true, "Records": true, "Shards": true,

@@ -45,7 +45,7 @@ type WGOps struct {
 // contract: `//texsim:publishes <payload> <announce>` on a function
 // declares that every close of a channel reached through a field or
 // variable named <announce> must be preceded, in its own basic block, by a
-// store into <payload>. It is the checkable encoding of the render farm's
+// store into <payload>. It is the checkable encoding of the
 // "store shards[f], then close(ready[f])" idiom.
 const PublishMarker = "texsim:publishes"
 

@@ -105,10 +105,14 @@ type Rasterizer struct {
 	pixels int64
 }
 
-// New constructs a rasterizer.
+// New constructs a rasterizer, rejecting a non-positive size and an
+// unknown sample mode.
 func New(cfg Config) (*Rasterizer, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, fmt.Errorf("raster: invalid size %dx%d", cfg.Width, cfg.Height)
+	}
+	if cfg.Mode < Point || cfg.Mode > Trilinear {
+		return nil, fmt.Errorf("raster: unknown sample mode %d", int(cfg.Mode))
 	}
 	r := &Rasterizer{cfg: cfg, depth: make([]float32, cfg.Width*cfg.Height)}
 	if cfg.Framebuffer {

@@ -337,6 +337,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Width: 10, Height: -1}); err == nil {
 		t.Error("negative height accepted")
 	}
+	for _, m := range []SampleMode{-1, Trilinear + 1, 99} {
+		if _, err := New(Config{Width: 10, Height: 10, Mode: m}); err == nil {
+			t.Errorf("unknown sample mode %d accepted", int(m))
+		}
+	}
 }
 
 func TestShadeDarkensColour(t *testing.T) {

@@ -107,16 +107,6 @@ func NewScene() *Scene {
 // Add places objects into the scene.
 func (s *Scene) Add(objs ...*Object) { s.Objects = append(s.Objects, objs...) }
 
-// PrepareBounds computes and caches every mesh's bounding sphere.
-// Bounds are memoized lazily on first use, which mutates the mesh; a
-// caller about to render the scene from concurrent goroutines must warm
-// the caches serially first so the workers only read.
-func (s *Scene) PrepareBounds() {
-	for _, o := range s.Objects {
-		o.Mesh.Bounds()
-	}
-}
-
 // TriangleCount returns the total triangles across all objects.
 func (s *Scene) TriangleCount() int {
 	n := 0

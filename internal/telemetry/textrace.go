@@ -1,7 +1,7 @@
 // textrace: the simulator's one tracing system, a concurrent,
 // worker-attributed registry. It records what every engine is doing —
-// the single-configuration run, the serial fan-out, the render farm, the
-// partitioned replay pool and the fast-sweep probe — as per-worker
+// the single-configuration run, the serial fan-out, the partitioned
+// replay pool and the fast-sweep probe — as per-worker
 // nestable span tracks, counter tracks, and instant events for protocol
 // edges (shard publish, chunk abort, model refusal). It exports the
 // whole run as Chrome trace_event JSON (traceevent.go) that Perfetto or
@@ -11,14 +11,14 @@
 // Two regimes share one recording API, selected by the injected clock:
 //
 //   - wall regime (WallClock or any other real clock): events carry real
-//     timestamps and export on their physical tracks ("render worker 3",
+//     timestamps and export on their physical tracks ("render",
 //     "replay group 1"), showing true concurrency, stalls, stragglers;
 //   - canonical regime (the clock implements DeterministicClock, as
 //     FakeClock does): the export is a pure function of the logical work
 //     performed — events regroup onto their logical tracks, timestamps
 //     are virtual positions in canonical order, and scheduling-dependent
 //     gauge samples are suppressed — so the exported bytes are identical
-//     at every Parallelism / RenderWorkers setting.
+//     at every Parallelism setting.
 //
 // Every type is nil-safe: a nil *Trace yields nil *Track and *Counter
 // handles whose methods do nothing and allocate nothing, so instrumented
@@ -45,8 +45,8 @@ func (*FakeClock) DeterministicClock() {}
 
 // Trace is the registry of span tracks and counter tracks for one run.
 // Track and Counter return one shared instance per name, so engine
-// layers that cannot see each other (sweep coordinator, farm workers,
-// chunk pool) still land on the same timeline.
+// layers that cannot see each other (sweep coordinator, replay
+// groups, chunk pool) still land on the same timeline.
 type Trace struct {
 	clockMu sync.Mutex
 	clock   Clock
