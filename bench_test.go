@@ -167,22 +167,20 @@ func BenchmarkVillageFrame(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Sweep engine benchmarks: the full 13-spec cache sweep of the Village at
-// bench scale, serial reference fan-out vs the render-once/replay-many
-// worker pool. The parallel engine's gain comes from replaying the
-// in-memory trace through all hierarchies concurrently instead of pushing
-// every texel through 13 hierarchies in one goroutine.
+// bench scale, exact engine vs the analytic -fast engine. The exact
+// engine probes the sweep's 5 distinct L1 geometries once per texel and
+// runs each spec's L2 and TLB only on its L1's misses.
 // ---------------------------------------------------------------------------
 
-func benchSweep(b *testing.B, parallelism int, fast bool) {
+func benchSweep(b *testing.B, fast bool) {
 	b.Helper()
 	scale := experiments.Bench()
 	render := core.Config{
-		Width:       scale.Width,
-		Height:      scale.Height,
-		Frames:      scale.VillageFrames,
-		Mode:        raster.Trilinear,
-		Parallelism: parallelism,
-		FastSweep:   fast,
+		Width:     scale.Width,
+		Height:    scale.Height,
+		Frames:    scale.VillageFrames,
+		Mode:      raster.Trilinear,
+		FastSweep: fast,
 	}
 	specs := experiments.SweepSpecs()
 	b.ReportAllocs()
@@ -193,21 +191,14 @@ func benchSweep(b *testing.B, parallelism int, fast bool) {
 	}
 }
 
-// BenchmarkSweepSerial is the legacy single-goroutine engine.
-func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1, false) }
-
-// BenchmarkSweepParallel4 bounds the pool at four replay workers.
-func BenchmarkSweepParallel4(b *testing.B) { benchSweep(b, 4, false) }
-
-// BenchmarkSweepParallel uses the default pool of GOMAXPROCS replay
-// workers.
-func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0, false) }
+// BenchmarkSweepSerial is the exact engine, a single-goroutine fan-out.
+func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkSweepFast is the analytic engine: one instrumented render
 // feeds the reuse model, which predicts every model-reachable spec's
-// counters — for the canonical sweep the replay set is empty, so no
-// trace is recorded or replayed at all.
-func BenchmarkSweepFast(b *testing.B) { benchSweep(b, 0, true) }
+// counters — for the canonical sweep every spec is modeled, so no exact
+// simulation runs at all.
+func BenchmarkSweepFast(b *testing.B) { benchSweep(b, true) }
 
 // BenchmarkReplaySingleSpecSerial measures ReplayTrace: one recorded
 // Village stream replayed through a single 2 MB L2 hierarchy. The trace

@@ -18,9 +18,10 @@
 // the run (exit status 1), which is how CI gates performance — wall time
 // catches slowdowns, allocation count catches hot-path allocations that
 // a noisy timer would hide, and allocated bytes catch buffer-growth
-// blowups (the parallel sweep once allocated 90x the serial engine's
-// bytes at an almost identical allocation count). Benchmarks present on
-// only one side are reported but never fail the gate.
+// blowups (a since-removed parallel sweep engine once allocated 90x the
+// serial engine's bytes at an almost identical allocation count).
+// Benchmarks present on only one side are reported but never fail the
+// gate.
 package main
 
 import (
@@ -48,7 +49,6 @@ const regressionLimit = 1.25
 // benchResult is one benchmark's single-iteration sample.
 type benchResult struct {
 	Name        string `json:"name"`
-	Parallelism int    `json:"parallelism"`
 	NsPerOp     int64  `json:"ns_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
 	BytesPerOp  int64  `json:"bytes_per_op"`
@@ -80,19 +80,15 @@ func run() int {
 	}
 	specs := experiments.SweepSpecs()
 
-	// Mirror bench_test.go's sweep benchmarks: the serial reference
-	// engine, a bounded 4-worker pool, the GOMAXPROCS default replay
-	// pool, and the analytic -fast engine (one instrumented render, no
-	// replay).
+	// Mirror bench_test.go's sweep benchmarks: the exact engine and the
+	// analytic -fast engine (one instrumented render, no exact
+	// simulation).
 	cases := []struct {
-		name        string
-		parallelism int
-		fast        bool
+		name string
+		fast bool
 	}{
-		{"SweepSerial", 1, false},
-		{"SweepParallel4", 4, false},
-		{"SweepParallel", 0, false},
-		{"SweepFast", 0, true},
+		{"SweepSerial", false},
+		{"SweepFast", true},
 	}
 
 	clock := telemetry.NewWallClock()
@@ -112,7 +108,6 @@ func run() int {
 
 	for _, bc := range cases {
 		cfg := render
-		cfg.Parallelism = bc.parallelism
 		cfg.FastSweep = bc.fast
 
 		// Quiesce the heap so alloc deltas attribute to the run alone.
@@ -129,7 +124,6 @@ func run() int {
 		}
 		rep.Benchmarks = append(rep.Benchmarks, benchResult{
 			Name:        bc.name,
-			Parallelism: bc.parallelism,
 			NsPerOp:     elapsed,
 			AllocsPerOp: int64(after.Mallocs - before.Mallocs),
 			BytesPerOp:  int64(after.TotalAlloc - before.TotalAlloc),

@@ -38,7 +38,7 @@ func run() int {
 	scaleName := flag.String("scale", "reduced", "bench | reduced | full")
 	out := flag.String("o", "", "write output to file instead of stdout")
 	parallel := flag.Int("parallel", 0,
-		"worker pool size for prefetch and cache sweeps (0 = GOMAXPROCS, -1 = serial)")
+		"with -exp all: prefetch job pool size (0 = GOMAXPROCS, -1 = no prefetch, runs computed in order)")
 	fast := flag.Bool("fast", false,
 		"analytic cache sweeps: predict model-reachable specs from one reuse-profile pass; per-frame figures then report totals only")
 	csvDir := flag.String("csv", "", "also export per-frame figure series as CSV into this directory")
@@ -107,11 +107,6 @@ func run() int {
 	}
 
 	ctx := experiments.NewContext(scale, w)
-	if *parallel < 0 {
-		ctx.Parallelism = 1 // serial reference engine
-	} else {
-		ctx.Parallelism = *parallel
-	}
 	ctx.FastSweep = *fast
 
 	var totals telemetry.Totals

@@ -9,12 +9,12 @@
 //	texsim -workload village -l2mb 4 -l2tile 32 -policy lru -zfirst
 //
 // With -sweep the workload is rendered once and the reference stream is
-// replayed through the canonical cache sweep (the same 13 specs the
-// experiment suite uses; -specs selects a comma-separated subset) on the
-// parallel sweep engine; -parallel bounds the replay worker pool (0 =
-// GOMAXPROCS, 1 = the serial reference path):
+// simulated through the canonical cache sweep (the same 13 specs the
+// experiment suite uses; -specs selects a comma-separated subset). The
+// exact sweep engine probes each distinct L1 geometry once per texel and
+// runs each spec's own L2 and TLB on the misses:
 //
-//	texsim -workload city -sweep -parallel 4 -specs pull-2k,l2-2m
+//	texsim -workload city -sweep -specs pull-2k,l2-2m
 //
 // With -sweep -fast the replay collapses to one instrumented render: the
 // analytic reuse model (internal/model/reusemodel) predicts every
@@ -32,15 +32,15 @@
 //	-manifest run.json   record config hash, environment, totals and the
 //	                     per-phase timing table of the run's trace
 //	-reuse hist.json     reuse-distance histogram over L2 block addresses
-//	-trace out.json      worker-attributed Chrome trace_event file — open it
-//	                     in Perfetto (ui.perfetto.dev) or chrome://tracing;
-//	                     also prints the aggregated phase/straggler report
+//	-trace out.json      Chrome trace_event file — open it in Perfetto
+//	                     (ui.perfetto.dev) or chrome://tracing; also
+//	                     prints the aggregated phase/straggler report
 //	-monitor addr        serve live JSON run snapshots over HTTP while the
 //	                     run is in flight (GET /snapshot, GET /trace)
 //	-cpuprofile cpu.pb   CPU profile; -memprofile heap.pb heap profile
 //
 //	texsim -workload village -sweep -metrics run.jsonl -manifest run.json
-//	texsim -workload city -sweep -parallel 4 -trace sweep.json
+//	texsim -workload city -sweep -trace sweep.json
 //	texsim -workload city -sweep -monitor localhost:8844
 package main
 
@@ -86,13 +86,12 @@ func run() int {
 	sweep := flag.Bool("sweep", false, "replay the rendered stream through the canonical cache sweep")
 	fast := flag.Bool("fast", false,
 		"with -sweep: predict model-reachable specs analytically from one instrumented render")
-	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	specsArg := flag.String("specs", "all", `comma-separated sweep spec names, or "all" (with -sweep)`)
 	metricsPath := flag.String("metrics", "", "write the per-frame metric stream here (.csv = CSV, else JSONL)")
 	manifestPath := flag.String("manifest", "", "write a run manifest (config hash, environment, totals, phases) here")
 	reusePath := flag.String("reuse", "", "write a reuse-distance histogram over L2 block addresses here")
 	tracePath := flag.String("trace", "",
-		"write a worker-attributed Chrome trace_event file (Perfetto) here and print the phase report")
+		"write a Chrome trace_event file (Perfetto) here and print the phase report")
 	monitorAddr := flag.String("monitor", "",
 		"serve live run snapshots as JSON over HTTP on this address while running")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
@@ -251,7 +250,6 @@ func run() int {
 	var modelErrs []telemetry.SpecModelError
 	simFrames := 0
 	if *sweep {
-		cfg.Parallelism = *parallel
 		cfg.FastSweep = *fast
 		cmp, err := core.RunComparison(w, cfg, specs)
 		if err != nil {

@@ -56,17 +56,34 @@ type Hierarchy struct {
 	san sanState
 }
 
+// Sanitizing reports whether the texsan invariant sanitizer is compiled
+// in (go test -tags texsan). A caller that skips Finish on L1 hits must
+// still call it when Sanitizing is set, so the sanitizer sees every
+// access.
+const Sanitizing = sanitizing
+
 // Access runs one texel reference through the hierarchy, following the
 // control flow of Figure 7, and accounts the bytes moved.
 //
 // texlint:hotpath
 func (h *Hierarchy) Access(ref Ref) {
-	hit := h.L1.Access(ref.L1)
-	if !hit {
+	h.Finish(ref, h.L1.Access(ref.L1))
+}
+
+// Finish completes an access whose L1 probe the caller already made:
+// l1Hit is what h.L1.Access(ref.L1) returned. It lets several
+// hierarchies share one L1Cache — probed once per reference — while each
+// keeps its own L2, TLB and byte counters; that is exact because L1
+// state never depends on the levels below it (there is no
+// back-invalidation). On a hit Finish does nothing unless Sanitizing.
+//
+// texlint:hotpath
+func (h *Hierarchy) Finish(ref Ref, l1Hit bool) {
+	if !l1Hit {
 		h.accessMiss(ref)
 	}
 	if sanitizing {
-		h.sanAccess(ref, hit)
+		h.sanAccess(ref, l1Hit)
 	}
 }
 

@@ -14,10 +14,16 @@
 // traces back to a recorded fill. Any panic below indicates a simulator
 // bug, never a legal stream.
 //
-// The sanitizer assumes the Hierarchy is the sole driver of its component
-// caches and that the address translation feeding it maps each L1 tag to
-// a fixed <page-table index, sub-block> pair for the life of the run, as
-// the simulator's precomputed tilings guarantee.
+// The sanitizer assumes the Hierarchy is the sole driver of its L2 and
+// TLB, and that every probe of its L1 is completed through Access or
+// Finish on this Hierarchy. The L1 itself may be shared: comparison
+// sweeps probe one L1 per distinct geometry and Finish every sibling
+// hierarchy built on it, so each sibling records the same fills in its
+// own shadow map and checks its own L2, TLB and byte counters against the
+// shared L1's hit and miss counts. It also assumes the address
+// translation feeding the hierarchy maps each L1 tag to a fixed
+// <page-table index, sub-block> pair for the life of the run, as the
+// simulator's precomputed tilings guarantee.
 
 package cache
 

@@ -67,16 +67,33 @@ type specState struct {
 	layoutIdx int // -1 when no L2
 }
 
-// multiSink fans one texel reference stream out to several hierarchies,
-// translating each distinct L2 layout only once per texel.
+// l1Node is one distinct L1 geometry of a sweep: a single L1 cache
+// shared by every sibling hierarchy whose spec has that geometry. Each
+// texel probes it once; the siblings keep their own L2, TLB and byte
+// counters and run only their miss paths.
+type l1Node struct {
+	l1   *cache.L1Cache
+	sibs []specState
+}
+
+// multiSink fans one texel reference stream out to several hierarchies:
+// each distinct L1 geometry is probed once per texel and each distinct
+// L2 layout is translated once per texel, however many specs share them.
 type multiSink struct {
 	canon   []*texture.Tiling
 	layouts []*layoutXlate
+	nodes   []l1Node
+	// specs is parallel to the comparison's specs; it aliases the
+	// hierarchies of nodes for counter snapshots.
 	specs   []specState
 	collect *stats.Collector
 	reuse   *reuseProbe
 }
 
+// Texel is invoked once per texel reference and must stay free of
+// allocation and formatting.
+//
+// texlint:hotpath
 func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
 	a := s.canon[tid].Addr(u, v, m)
 	l1 := cache.L1Ref{
@@ -88,15 +105,22 @@ func (s *multiSink) Texel(tid texture.ID, u, v, m int) {
 		lx.pt = lx.starts[tid] + b.L2
 		lx.sub = uint8(b.L1)
 	}
-	for i := range s.specs {
-		sp := &s.specs[i]
-		ref := cache.Ref{L1: l1}
-		if sp.layoutIdx >= 0 {
-			lx := s.layouts[sp.layoutIdx]
-			ref.PTIndex = lx.pt
-			ref.Sub = lx.sub
+	for n := range s.nodes {
+		node := &s.nodes[n]
+		hit := node.l1.Access(l1)
+		if hit && !cache.Sanitizing {
+			continue
 		}
-		sp.hier.Access(ref)
+		for i := range node.sibs {
+			sp := &node.sibs[i]
+			ref := cache.Ref{L1: l1}
+			if sp.layoutIdx >= 0 {
+				lx := s.layouts[sp.layoutIdx]
+				ref.PTIndex = lx.pt
+				ref.Sub = lx.sub
+			}
+			sp.hier.Finish(ref, hit)
+		}
 	}
 	if s.collect != nil {
 		s.collect.Texel(tid, u, v, m)
@@ -123,11 +147,12 @@ func specConfig(render Config, spec CacheSpec) Config {
 // render.StatLayouts is non-empty, working-set statistics are gathered once
 // and attached to the first spec's results.
 //
-// render.Parallelism selects the engine: 1 runs the serial reference
-// fan-out (every texel pushed through all hierarchies in one goroutine),
-// anything else renders once into a sharded in-memory trace and replays
-// it through the specs on a bounded worker pool (see sweep.go). The two
-// paths produce byte-identical Comparisons.
+// The exact engine is a single-goroutine fan-out that shares every cache
+// level it can prove identical across specs: one L1 per distinct
+// geometry and one address translation per distinct L2 layout (see
+// buildMultiSink). render.FastSweep selects the analytic engine instead
+// (fast.go), which falls back to the exact one for specs outside the
+// reuse model's reach.
 func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Comparison, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no cache specs")
@@ -141,7 +166,7 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 	if err := render.Validate(); err != nil {
 		return nil, err
 	}
-	// Every engine checks its specs before rendering; the fast engine
+	// Both engines check their specs before rendering; the fast engine
 	// never builds the hierarchies of the specs it models.
 	for _, spec := range specs {
 		if err := validateCache(spec.Name, spec.L2, spec.TLBEntries); err != nil {
@@ -151,24 +176,43 @@ func RunComparison(w *workload.Workload, render Config, specs []CacheSpec) (*Com
 	if render.FastSweep {
 		return runComparisonFast(w, render, specs)
 	}
-	if par := sweepWorkers(render.Parallelism, len(specs)); par > 1 {
-		return runComparisonParallel(w, render, specs, par, nil)
-	}
-	return runComparisonSerial(w, render, specs, nil)
+	return runComparisonExact(w, render, specs, nil)
 }
 
-// buildMultiSink builds the shared-translation fan-out sink both engines
-// drive: one hierarchy per spec (readable through sink.specs, parallel
-// to specs), with address translation shared across all specs that use
-// the same L2 layout — each distinct layout is translated once per
-// texel, however many specs consume it.
+// l1Geometry is an L1 cache's size and associativity with the 0 → 2-way
+// default applied. Equal geometries simulate identical caches over the
+// same stream, so both sweep engines build one L1 per geometry: the
+// exact engine's shared l1Nodes and the fast engine's TLB filters.
+type l1Geometry struct{ bytes, ways int }
+
+func l1Geom(bytes, ways int) l1Geometry {
+	if ways == 0 {
+		ways = cache.L1Ways
+	}
+	return l1Geometry{bytes, ways}
+}
+
+// build constructs an empty L1 cache of this geometry.
+func (g l1Geometry) build() (*cache.L1Cache, error) {
+	return cache.NewL1Assoc(g.bytes, g.ways)
+}
+
+// buildMultiSink builds the exact engine's fan-out sink: one hierarchy
+// per spec (readable through sink.specs, parallel to specs), grouped
+// into one l1Node per distinct L1 geometry whose siblings share a single
+// L1 cache, with address translation shared across all specs that use
+// the same L2 layout. Sharing the L1 is exact: the L1 never sees what
+// happens below it (no back-invalidation), and the L2 and TLB sit only
+// on the miss path, which every sibling still runs on its own levels.
 func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 	sink := &multiSink{canon: set.Tilings(texture.CanonicalL1())}
 	sink.specs = make([]specState, 0, len(specs))
-	// Every spec contributes at most one layout, so len(specs) bounds the
-	// deduplicated layout table.
+	// Every spec contributes at most one layout and one L1 geometry, so
+	// len(specs) bounds both deduplicated tables.
 	sink.layouts = make([]*layoutXlate, 0, len(specs))
+	sink.nodes = make([]l1Node, 0, len(specs))
 	layoutIndex := map[texture.TileLayout]int{}
+	nodeIndex := map[l1Geometry]int{}
 
 	for _, spec := range specs {
 		if err := validateCache(spec.Name, spec.L2, spec.TLBEntries); err != nil {
@@ -176,15 +220,18 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 		}
 	}
 	for _, spec := range specs {
-		ways := spec.L1Ways
-		if ways == 0 {
-			ways = cache.L1Ways
+		g := l1Geom(spec.L1Bytes, spec.L1Ways)
+		ni, ok := nodeIndex[g]
+		if !ok {
+			l1, err := g.build()
+			if err != nil {
+				return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
+			}
+			ni = len(sink.nodes)
+			sink.nodes = append(sink.nodes, l1Node{l1: l1})
+			nodeIndex[g] = ni
 		}
-		l1, err := cache.NewL1Assoc(spec.L1Bytes, ways)
-		if err != nil {
-			return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
-		}
-		hier := &cache.Hierarchy{L1: l1}
+		hier := &cache.Hierarchy{L1: sink.nodes[ni].l1}
 		layoutIdx := -1
 		if spec.L2 != nil {
 			l2cfg := effectiveL2(*spec.L2)
@@ -213,16 +260,19 @@ func buildMultiSink(set *texture.Set, specs []CacheSpec) (*multiSink, error) {
 				hier.TLB = cache.NewTLB(spec.TLBEntries)
 			}
 		}
-		sink.specs = append(sink.specs, specState{hier: hier, layoutIdx: layoutIdx})
+		st := specState{hier: hier, layoutIdx: layoutIdx}
+		sink.nodes[ni].sibs = append(sink.nodes[ni].sibs, st)
+		sink.specs = append(sink.specs, st)
 	}
 	return sink, nil
 }
 
-// runComparisonSerial is the legacy single-goroutine engine, kept as the
-// reference implementation the parallel path is tested against. A
-// non-nil probe (the -fast engine injects one carrying TLB filters)
-// overrides the CollectReuse-built probe and taps the render stream.
-func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec, probe *reuseProbe) (*Comparison, error) {
+// runComparisonExact is the exact engine: it renders the workload once
+// and pushes every texel through the shared-L1 fan-out sink in the same
+// goroutine. A non-nil probe (the -fast engine injects one carrying TLB
+// filters) overrides the CollectReuse-built probe and taps the render
+// stream.
+func runComparisonExact(w *workload.Workload, render Config, specs []CacheSpec, probe *reuseProbe) (*Comparison, error) {
 	set := w.Scene.Textures
 	set.MustPrepare(texture.CanonicalL1())
 
@@ -268,10 +318,8 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 	rast.SetSink(sink)
 	pipeline := scene.NewPipeline(rast)
 
-	// The serial engine emits the same logical textrace events as the
-	// parallel engines — "render" frame spans and per-spec "replayed/"
-	// samples — so a canonical-regime export is identical whichever
-	// engine ran. Its single physical track is the render pass.
+	// One "render" track carries the frame spans; each spec's
+	// "replayed/" counter advances as its frame's counters are taken.
 	tk := render.Trace.Track("render")
 	replayed := make([]*telemetry.Counter, len(specs))
 	for i, spec := range specs {
@@ -305,8 +353,7 @@ func runComparisonSerial(w *workload.Workload, render Config, specs []CacheSpec,
 				fr.Stats = sf
 			}
 			prev[i] = cur
-			// Streamed spec-minor within the frame: this loop defines the
-			// canonical metric order every other engine must reproduce.
+			// Streamed frame-major, spec-minor: the canonical metric order.
 			if render.Metrics != nil {
 				render.Metrics.Frame(metricsFrame(w.Name, cmp.Specs[i], f, &fr))
 			}

@@ -47,33 +47,21 @@ type Config struct {
 	StatLayouts []texture.TileLayout
 	// Framebuffer renders colour output (snapshots); costs time.
 	Framebuffer bool
-	// Parallelism bounds the worker pool of comparison sweeps
-	// (RunComparison): 0 means runtime.GOMAXPROCS(0), 1 selects the
-	// serial reference fan-out, and higher values render the workload
-	// once into a sharded trace and replay it through that many cache
-	// hierarchies concurrently. Results are byte-identical at every
-	// setting; the knob trades memory (the in-memory trace, roughly 2-3
-	// bytes per texel reference) for wall-clock. Negative is invalid.
-	Parallelism int
 	// Metrics, when non-nil, receives one telemetry record per simulated
 	// frame (and per cache spec in comparison runs) in a deterministic
-	// frame-major, spec-minor order that is identical at every
-	// Parallelism setting. Emission happens outside the per-texel hot
-	// path; a nil Metrics costs nothing.
+	// frame-major, spec-minor order. Emission happens outside the
+	// per-texel hot path; a nil Metrics costs nothing.
 	Metrics telemetry.Emitter
 	// Trace, when non-nil, is the textrace registry, the simulator's one
-	// tracing system: worker-attributed span tracks (render, replay
-	// group G, fast-probe, model, coordinator), counter tracks
-	// (chunk-pool bytes in flight, frames rendered, per-spec replay
-	// progress, replay queue depth) and instant events for protocol
-	// edges (shard publish, chunk abort, model refusal), across Run and
-	// every comparison engine. Export it with WriteChromeTrace
+	// tracing system: span tracks (render, fast-probe, model), per-spec
+	// "replayed/" progress counters and the model-refusal instant, across
+	// Run and both comparison engines. Export it with WriteChromeTrace
 	// for Perfetto/chrome://tracing, aggregate it with Report, or serve
 	// it live through telemetry.NewMonitor. Timings are observational
 	// sidecar data and never feed back into simulation output. Under a
-	// deterministic clock (FakeClock) the export is byte-identical at
-	// every Parallelism setting; a nil Trace costs one predictable
-	// branch per event site and allocates nothing.
+	// deterministic clock (FakeClock) the export is a pure function of
+	// the run's logical work; a nil Trace costs one predictable branch
+	// per event site and allocates nothing.
 	Trace *telemetry.Trace
 	// CollectReuse enables the reuse-distance probe: an LRU stack
 	// distance histogram over L2 block addresses of the rendered
@@ -101,9 +89,6 @@ func (c Config) Validate() error {
 	}
 	if c.L1Bytes <= 0 {
 		return fmt.Errorf("core: L1 size %d", c.L1Bytes)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("core: negative parallelism %d", c.Parallelism)
 	}
 	if err := validateCache("", c.L2, c.TLBEntries); err != nil {
 		return err

@@ -5,11 +5,11 @@
 // stream's locality profile once, and every model-reachable spec's
 // counters are predicted from it by arithmetic. Only specs outside the
 // model's reach — direct-mapped L1s, random replacement, disabled
-// sector mapping, off-granularity tile sizes — fall back to exact
-// replay, through the unchanged serial or parallel engines with the
-// probe riding their render pass. TLB statistics are never modeled:
-// each modeled TLB spec gets a real cache.TLB behind a real L1 filter
-// inside the probe, so its stats are exact by construction.
+// sector mapping, off-granularity tile sizes — fall back to the exact
+// engine, with the probe riding its render pass. TLB statistics are
+// never modeled: each modeled TLB spec gets a real cache.TLB behind a
+// real L1 filter inside the probe, so its stats are exact by
+// construction.
 package core
 
 import (
@@ -19,6 +19,7 @@ import (
 	"texcache/internal/model/reusemodel"
 	"texcache/internal/raster"
 	"texcache/internal/scene"
+	"texcache/internal/telemetry"
 	"texcache/internal/texture"
 	"texcache/internal/workload"
 )
@@ -33,65 +34,26 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 	}
 	set := w.Scene.Textures
 	set.MustPrepare(texture.CanonicalL1())
-	blockEdge := reuseLayout().L2Size
-
-	// Partition the specs: model-reachable ones are predicted from the
-	// probe's profile, the rest replay exactly. Modeled TLB specs get an
-	// exact TLB in the probe, behind an L1 filter shared per L1 geometry;
-	// the probe's page table is valid for them because Check already
-	// pinned their tile edge to the probe's granularity.
-	var replaySpecs []CacheSpec
-	var replayIdx []int
 	probe := newReuseProbe(set)
 	mt := render.Trace.Track("model")
-	type l1geom struct{ bytes, ways int }
-	filters := map[l1geom]*probeFilter{}
-	for i, spec := range specs {
-		if err := reusemodel.Check(modelSpec(spec), blockEdge); err != nil {
-			// A model refusal is a protocol edge: this spec leaves the
-			// analytic path and falls back to exact replay.
-			mt.Instant("model", "exact-fallback", int64(i), spec.Name)
-			replaySpecs = append(replaySpecs, spec)
-			replayIdx = append(replayIdx, i)
-			continue
-		}
-		if spec.TLBEntries <= 0 {
-			continue
-		}
-		g := l1geom{spec.L1Bytes, spec.L1Ways}
-		f := filters[g]
-		if f == nil {
-			ways := spec.L1Ways
-			if ways == 0 {
-				ways = cache.L1Ways
-			}
-			l1, err := cache.NewL1Assoc(spec.L1Bytes, ways)
-			if err != nil {
-				return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
-			}
-			f = &probeFilter{l1: l1, tlbs: make([]probeTLB, 0, len(specs))}
-			filters[g] = f
-			probe.filters = append(probe.filters, f)
-		}
-		f.tlbs = append(f.tlbs, probeTLB{specIdx: i, tlb: cache.NewTLB(spec.TLBEntries)})
+	replayIdx, err := partitionFast(specs, probe, mt)
+	if err != nil {
+		return nil, err
+	}
+	replaySpecs := make([]CacheSpec, len(replayIdx))
+	for j, i := range replayIdx {
+		replaySpecs[j] = specs[i]
 	}
 
-	// One pass over the stream: either the exact engines replay the
-	// unreachable specs with the probe tapping their render, or — when
-	// the model covers everything — a bare render drives the probe alone,
-	// with no trace encoding or replay machinery at all.
+	// One pass over the stream: either the exact engine simulates the
+	// unreachable specs with the probe tapping its render, or — when the
+	// model covers everything — a bare render drives the probe alone.
 	var framePixels []int64
 	results := make([]*Results, len(specs))
 	if len(replaySpecs) > 0 {
 		sub := render
 		sub.FastSweep = false
-		var cmp *Comparison
-		var err error
-		if par := sweepWorkers(sub.Parallelism, len(replaySpecs)); par > 1 {
-			cmp, err = runComparisonParallel(w, sub, replaySpecs, par, probe)
-		} else {
-			cmp, err = runComparisonSerial(w, sub, replaySpecs, probe)
-		}
+		cmp, err := runComparisonExact(w, sub, replaySpecs, probe)
 		if err != nil {
 			return nil, err
 		}
@@ -171,4 +133,41 @@ func runComparisonFast(w *workload.Workload, render Config, specs []CacheSpec) (
 		ev.End()
 	}
 	return cmp, nil
+}
+
+// partitionFast splits specs between the model and the exact engine. It
+// returns the indices of the specs the model cannot reach, which fall
+// back to exact simulation. Every model-reachable spec with a TLB gets an
+// exact TLB in probe, behind an L1 filter shared per normalized L1
+// geometry; the probe's page table is valid for them because Check
+// already pinned their tile edge to the probe's granularity.
+func partitionFast(specs []CacheSpec, probe *reuseProbe, mt *telemetry.Track) ([]int, error) {
+	blockEdge := reuseLayout().L2Size
+	var replayIdx []int
+	filters := map[l1Geometry]*probeFilter{}
+	for i, spec := range specs {
+		if err := reusemodel.Check(modelSpec(spec), blockEdge); err != nil {
+			// A model refusal is a protocol edge: this spec leaves the
+			// analytic path and falls back to exact replay.
+			mt.Instant("model", "exact-fallback", int64(i), spec.Name)
+			replayIdx = append(replayIdx, i)
+			continue
+		}
+		if spec.TLBEntries <= 0 {
+			continue
+		}
+		g := l1Geom(spec.L1Bytes, spec.L1Ways)
+		f := filters[g]
+		if f == nil {
+			l1, err := g.build()
+			if err != nil {
+				return nil, fmt.Errorf("core: spec %q: %w", spec.Name, err)
+			}
+			f = &probeFilter{l1: l1, tlbs: make([]probeTLB, 0, len(specs))}
+			filters[g] = f
+			probe.filters = append(probe.filters, f)
+		}
+		f.tlbs = append(f.tlbs, probeTLB{specIdx: i, tlb: cache.NewTLB(spec.TLBEntries)})
+	}
+	return replayIdx, nil
 }

@@ -155,6 +155,51 @@ func TestFastSweepTLBExact(t *testing.T) {
 	}
 }
 
+// TestFastSweepFilterPerL1Geometry pins the fast engine's L1 key: TLB
+// specs whose L1s differ only by L1Ways 0 vs 2 — the same cache — share
+// one probe filter, and their TLB stats still equal the exact engine's.
+func TestFastSweepFilterPerL1Geometry(t *testing.T) {
+	specs := []CacheSpec{
+		l2spec("tlb-4", 2*1024, 2, 4),
+		l2spec("tlb-2", 2*1024, 2, 2),
+		l2spec("tlb-16", 2*1024, 2, 16),
+	}
+	specs[1].L1Ways = 2
+	specs[2].L1Ways = 2
+
+	set := workload.Village().Scene.Textures
+	set.MustPrepare(texture.CanonicalL1())
+	probe := newReuseProbe(set)
+	replay, err := partitionFast(specs, probe, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replay) != 0 {
+		t.Fatalf("specs %v fell back to exact replay", replay)
+	}
+	if len(probe.filters) != 1 || len(probe.filters[0].tlbs) != len(specs) {
+		t.Fatalf("built %d filters, want one carrying all %d TLBs", len(probe.filters), len(specs))
+	}
+
+	render := testCfg()
+	render.Frames = 4
+	ecmp, err := RunComparison(workload.Village(), render, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render.FastSweep = true
+	fcmp, err := RunComparison(workload.Village(), render, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		got, want := fcmp.Results[i].Totals.TLB, ecmp.Results[i].Totals.TLB
+		if got != want || got.Lookups == 0 {
+			t.Errorf("%s: fast TLB stats %+v, exact %+v", specs[i].Name, got, want)
+		}
+	}
+}
+
 // TestFastSweepRejectsStats documents the one unsupported combination.
 func TestFastSweepRejectsStats(t *testing.T) {
 	render := testCfg()

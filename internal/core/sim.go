@@ -158,11 +158,7 @@ func buildHierarchy(set *texture.Set, cfg Config) (*cache.Hierarchy, *addrSink, 
 	}
 	set.MustPrepare(texture.CanonicalL1())
 
-	ways := cfg.L1Ways
-	if ways == 0 {
-		ways = cache.L1Ways
-	}
-	l1, err := cache.NewL1Assoc(cfg.L1Bytes, ways)
+	l1, err := l1Geom(cfg.L1Bytes, cfg.L1Ways).build()
 	if err != nil {
 		return nil, nil, err
 	}

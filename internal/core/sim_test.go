@@ -83,13 +83,16 @@ func TestHostileCacheConfigsReturnErrors(t *testing.T) {
 		{"negative TLB entries", func(c *Config) { c.TLBEntries = -1 }, false},
 		{"unknown sample mode", func(c *Config) { c.Mode = raster.SampleMode(99) }, true},
 	}
-	comparison := func(par int, fast bool) func(Config) error {
+	// comparison drives RunComparison with a good spec next to the
+	// hostile one, partitioned into the given number of L1 nodes: one
+	// shared L1 geometry, or a distinct one for the good spec.
+	comparison := func(partitions int, fast bool) func(Config) error {
 		return func(cfg Config) error {
 			render := cfg
 			render.L2, render.TLBEntries = nil, 0
-			render.Parallelism, render.FastSweep = par, fast
+			render.FastSweep = fast
 			specs := []CacheSpec{
-				l2spec("good", cfg.L1Bytes, 2, 16),
+				l2spec("good", partitions*cfg.L1Bytes, 2, 16),
 				{Name: "hostile", L1Bytes: cfg.L1Bytes, L2: cfg.L2, TLBEntries: cfg.TLBEntries},
 			}
 			_, err := RunComparison(workload.Village(), render, specs)
@@ -104,9 +107,10 @@ func TestHostileCacheConfigsReturnErrors(t *testing.T) {
 		run           func(Config) error
 	}{
 		{"Run", true, true, func(cfg Config) error { _, err := Run(workload.Village(), cfg); return err }},
+		// par1/par2: the exact engine over one or two L1 partitions.
 		{"RunComparison/par1", true, true, comparison(1, false)},
 		{"RunComparison/par2", true, true, comparison(2, false)},
-		{"RunComparison/fast", true, true, comparison(0, true)},
+		{"RunComparison/fast", true, true, comparison(1, true)},
 		{"ReplayTrace", true, false, func(cfg Config) error {
 			_, err := ReplayTrace(bytes.NewReader(stream.Bytes()), workload.Village().Scene.Textures, cfg)
 			return err

@@ -21,48 +21,47 @@ func telemetrySpecs() []CacheSpec {
 	}
 }
 
-// TestMetricStreamDeterminism is the tentpole guarantee: the JSONL metric
-// stream is byte-identical whether the serial fan-out streams it record
-// by record or the parallel engine merges per-worker buffers after the
-// join — at any Parallelism.
+// TestMetricStreamDeterminism pins the metric stream of a comparison
+// sweep: one record per frame and spec in frame-major, spec-minor order,
+// each equal to the record built from that spec's FrameResult, and two
+// runs byte-identical in JSONL.
 func TestMetricStreamDeterminism(t *testing.T) {
 	specs := telemetrySpecs()
-	run := func(par int) ([]byte, []telemetry.FrameMetrics, *Comparison) {
+	run := func() ([]byte, []telemetry.FrameMetrics, *Comparison) {
 		var out bytes.Buffer
 		var buf telemetry.Buffer
 		cfg := testCfg()
 		cfg.Frames = 4
-		cfg.Parallelism = par
 		cfg.Metrics = telemetry.Tee(telemetry.NewJSONL(&out), &buf)
 		cfg.CollectReuse = true
 		cmp, err := RunComparison(workload.Village(), cfg, specs)
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatal(err)
 		}
 		return out.Bytes(), buf.Records, cmp
 	}
 
-	serialBytes, serialRecs, serialCmp := run(1)
-	wantRecords := 4 * len(specs)
-	if len(serialRecs) != wantRecords {
-		t.Fatalf("serial emitted %d records, want %d", len(serialRecs), wantRecords)
+	baseBytes, baseRecs, baseCmp := run()
+	if want := 4 * len(specs); len(baseRecs) != want {
+		t.Fatalf("emitted %d records, want %d", len(baseRecs), want)
 	}
-	for _, par := range []int{0, 2} {
-		gotBytes, gotRecs, gotCmp := run(par)
-		if !reflect.DeepEqual(gotRecs, serialRecs) {
-			t.Errorf("parallelism %d: records differ from serial", par)
-		}
-		if !bytes.Equal(gotBytes, serialBytes) {
-			t.Errorf("parallelism %d: JSONL stream not byte-identical to serial", par)
-		}
-		if !reflect.DeepEqual(gotCmp.Reuse, serialCmp.Reuse) {
-			t.Errorf("parallelism %d: reuse histogram differs from serial", par)
-		}
-		if !reflect.DeepEqual(gotCmp.Specs, serialCmp.Specs) {
-			t.Errorf("parallelism %d: spec names differ", par)
+	for n, rec := range baseRecs {
+		f, i := n/len(specs), n%len(specs)
+		if want := metricsFrame(baseCmp.Workload, specs[i].Name, f, &baseCmp.Results[i].Frames[f]); rec != want {
+			t.Errorf("record %d = %+v, want frame %d of %s: %+v", n, rec, f, specs[i].Name, want)
 		}
 	}
-	if serialCmp.Reuse == nil || serialCmp.Reuse.Accesses == 0 {
+	gotBytes, gotRecs, gotCmp := run()
+	if !reflect.DeepEqual(gotRecs, baseRecs) {
+		t.Error("records differ between two runs")
+	}
+	if !bytes.Equal(gotBytes, baseBytes) {
+		t.Error("JSONL stream not byte-identical between two runs")
+	}
+	if !reflect.DeepEqual(gotCmp.Reuse, baseCmp.Reuse) {
+		t.Error("reuse histogram differs between two runs")
+	}
+	if baseCmp.Reuse == nil || baseCmp.Reuse.Accesses == 0 {
 		t.Error("reuse histogram empty despite CollectReuse")
 	}
 }
@@ -125,38 +124,22 @@ func phaseCounts(tr *telemetry.Trace) map[string]int {
 	return count
 }
 
-// TestSweepSpans checks the parallel engine records the advertised
-// phases on a wall-clock trace: one render "frame" per frame, one
-// "replay" pass and one "replay-frame" per frame for each spec group,
-// one "assemble", and a "shard-publish" instant per frame in the export.
-// Replay frames are named apart from render frames, so the report's
-// "frame" phase (and its straggler median) measures rendering alone.
+// TestSweepSpans checks the exact engine records the advertised phases
+// on a wall-clock trace: exactly one render "frame" span per frame on the
+// "render" track, however many specs it simulates.
 func TestSweepSpans(t *testing.T) {
 	const frames = 3
 	cfg := testCfg()
 	cfg.Frames = frames
-	cfg.Parallelism = 2
 	cfg.Trace = telemetry.NewTrace(telemetry.NewWallClock())
 	specs := telemetrySpecs()[:2]
 	if _, err := RunComparison(workload.Village(), cfg, specs); err != nil {
 		t.Fatal(err)
 	}
-	count := phaseCounts(cfg.Trace)
-	want := map[string]int{
-		"frame": frames, "replay": 2, "replay-frame": 2 * frames, "assemble": 1,
-	}
-	for name, n := range want {
-		if count[name] != n {
-			t.Errorf("phase %q recorded %d times, want %d (all: %v)",
-				name, count[name], n, count)
-		}
-	}
-	var buf bytes.Buffer
-	if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.Count(buf.Bytes(), []byte(`"name":"shard-publish"`)); got != frames {
-		t.Errorf("export has %d shard-publish instants, want %d", got, frames)
+	rep := cfg.Trace.Report()
+	if len(rep.Phases) != 1 || rep.Phases[0].Name != "frame" ||
+		rep.Phases[0].Count != frames || rep.Phases[0].MaxTrack != "render" {
+		t.Fatalf("phases = %+v, want %d render frames", rep.Phases, frames)
 	}
 }
 

@@ -65,3 +65,36 @@ func TestTexsanVillagePullArchitecture(t *testing.T) {
 		t.Fatalf("pull bandwidth identity violated: %+v", res.Totals)
 	}
 }
+
+// TestTexsanSharedL1Sweep runs the sanitizer on the exact sweep engine's
+// shared L1: pull, three L2 sizes and TLB variants all sit on one 2 KB
+// L1 cache, so every sibling hierarchy replays its per-access identities
+// and deep scans against an L1 it does not drive alone.
+func TestTexsanSharedL1Sweep(t *testing.T) {
+	render := sanConfig(6)
+	render.L2, render.TLBEntries = nil, 0
+	specs := []CacheSpec{
+		{Name: "pull-2k", L1Bytes: 2 << 10},
+		l2spec("l2-2m", 2<<10, 2, 16),
+		l2spec("l2-4m", 2<<10, 4, 0),
+		l2spec("l2-8m", 2<<10, 8, 0),
+		l2spec("tlb-1", 2<<10, 2, 1),
+		l2spec("tlb-4", 2<<10, 2, 4),
+	}
+	cmp, err := RunComparison(workload.Village(), render, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := cmp.Results[0].Totals.L1
+	if first.Accesses == 0 {
+		t.Fatal("sweep produced no cache activity")
+	}
+	for i, res := range cmp.Results {
+		if res.Totals.L1 != first {
+			t.Errorf("%s: L1 stats %+v differ from the shared L1's %+v", specs[i].Name, res.Totals.L1, first)
+		}
+		if specs[i].L2 != nil && res.Totals.L2.Accesses() != first.Misses {
+			t.Errorf("%s: %d L2 accesses, want %d L1 misses", specs[i].Name, res.Totals.L2.Accesses(), first.Misses)
+		}
+	}
+}

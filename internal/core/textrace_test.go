@@ -3,24 +3,22 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"texcache/internal/telemetry"
 	"texcache/internal/workload"
 )
 
-// sweepTrace runs the canonical sweep at the given engine settings with
+// sweepTrace runs the canonical sweep on the exact or fast engine with
 // the given clock and returns the Chrome trace_event export.
-func sweepTrace(t *testing.T, clock telemetry.Clock, par int, fast bool) []byte {
+func sweepTrace(t *testing.T, clock telemetry.Clock, fast bool) []byte {
 	t.Helper()
 	cfg := testCfg()
 	cfg.Frames = 4
-	cfg.Parallelism = par
 	cfg.FastSweep = fast
 	cfg.Trace = telemetry.NewTrace(clock)
 	if _, err := RunComparison(workload.Village(), cfg, telemetrySpecs()); err != nil {
-		t.Fatalf("par=%d fast=%v: %v", par, fast, err)
+		t.Fatalf("fast=%v: %v", fast, err)
 	}
 	var buf bytes.Buffer
 	if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
@@ -29,12 +27,11 @@ func sweepTrace(t *testing.T, clock telemetry.Clock, par int, fast bool) []byte 
 	return buf.Bytes()
 }
 
-// TestTraceCanonicalDeterminism pins the tentpole acceptance criterion:
-// under FakeClock the exported trace bytes are identical at every
-// Parallelism setting — including the serial reference engine, which
-// shares no code with the worker pool.
+// TestTraceCanonicalDeterminism pins the canonical regime: under
+// FakeClock the exact engine's export carries the logical render and
+// replay record, no wall-only data, and is byte-identical across runs.
 func TestTraceCanonicalDeterminism(t *testing.T) {
-	base := sweepTrace(t, &telemetry.FakeClock{Step: 7}, 1, false)
+	base := sweepTrace(t, &telemetry.FakeClock{Step: 7}, false)
 	for _, want := range []string{
 		`"name":"frame"`, `"name":"render"`, `"replayed/pull-2k"`, `"replayed/l2-4m"`,
 	} {
@@ -52,31 +49,26 @@ func TestTraceCanonicalDeterminism(t *testing.T) {
 			t.Fatalf("canonical export leaks wall-only data %q:\n%s", reject, base)
 		}
 	}
-	for _, par := range []int{4, 2, 0} {
-		got := sweepTrace(t, &telemetry.FakeClock{Step: 7}, par, false)
-		if !bytes.Equal(got, base) {
-			t.Errorf("canonical trace at par=%d differs from serial (%d vs %d bytes)",
-				par, len(got), len(base))
-		}
+	if got := sweepTrace(t, &telemetry.FakeClock{Step: 7}, false); !bytes.Equal(got, base) {
+		t.Errorf("canonical trace differs between two runs (%d vs %d bytes)", len(got), len(base))
 	}
 }
 
 // TestTraceFastSweepCanonicalDeterminism extends the byte-identity
-// contract to the analytic engine: the exact-fallback sub-engine may run
-// serial or parallel, the logical record must not move.
+// contract to the analytic engine with its exact-fallback sub-engine:
+// the logical record must not move between runs.
 func TestTraceFastSweepCanonicalDeterminism(t *testing.T) {
 	// pull-16k with 1-way L1 is outside the model's reach, forcing the
 	// exact-fallback replay path next to the modeled specs.
 	specs := telemetrySpecs()
 	specs[3].L1Ways = 1
-	run := func(par int) []byte {
+	run := func() []byte {
 		cfg := testCfg()
 		cfg.Frames = 3
-		cfg.Parallelism = par
 		cfg.FastSweep = true
 		cfg.Trace = telemetry.NewTrace(&telemetry.FakeClock{Step: 7})
 		if _, err := RunComparison(workload.Village(), cfg, specs); err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		if err := cfg.Trace.WriteChromeTrace(&buf); err != nil {
@@ -84,7 +76,7 @@ func TestTraceFastSweepCanonicalDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	base := run(1)
+	base := run()
 	for _, want := range []string{
 		`"name":"exact-fallback"`, `"name":"eval"`, `"name":"tlb-patch"`, `"name":"model"`,
 	} {
@@ -92,10 +84,8 @@ func TestTraceFastSweepCanonicalDeterminism(t *testing.T) {
 			t.Fatalf("fast canonical export missing %s:\n%s", want, base)
 		}
 	}
-	for _, par := range []int{4, 0} {
-		if got := run(par); !bytes.Equal(got, base) {
-			t.Errorf("fast canonical trace at par=%d differs from serial", par)
-		}
+	if got := run(); !bytes.Equal(got, base) {
+		t.Error("fast canonical trace differs between two runs")
 	}
 }
 
@@ -129,12 +119,11 @@ func TestTraceFastProbePhase(t *testing.T) {
 	}
 }
 
-// TestTraceWallExportShape pins the other half of the acceptance
-// criterion against a wall-regime clock: the parallel engine's export
-// carries at least 3 distinct worker tracks and at least 2 counter
-// tracks, in valid trace_event shape.
+// TestTraceWallExportShape pins the wall-regime export of the exact
+// engine: valid trace_event JSON with the "render" thread track carrying
+// the frame spans and one "replayed/<spec>" counter track per spec.
 func TestTraceWallExportShape(t *testing.T) {
-	data := sweepTrace(t, &stepTestClock{step: 1000}, 4, false)
+	data := sweepTrace(t, &stepTestClock{step: 1000}, false)
 	var doc struct {
 		TraceEvents []struct {
 			Ph   string `json:"ph"`
@@ -147,31 +136,37 @@ func TestTraceWallExportShape(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("export not valid JSON: %v", err)
 	}
-	workerTracks := map[string]bool{}
+	tracks := map[string]bool{}
 	counters := map[string]bool{}
+	frames := 0
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "M":
 			if ev.Name == "thread_name" {
-				if n := ev.Args.Name; strings.HasPrefix(n, "replay group ") {
-					workerTracks[n] = true
-				}
+				tracks[ev.Args.Name] = true
 			}
 		case "C":
 			counters[ev.Name] = true
+		case "X":
+			if ev.Name == "frame" {
+				frames++
+			}
 		}
 	}
-	if len(workerTracks) < 3 {
-		t.Errorf("wall export has %d worker tracks (%v), want >= 3", len(workerTracks), workerTracks)
+	if !tracks["render"] {
+		t.Errorf("wall export has no render track (tracks %v)", tracks)
 	}
-	if len(counters) < 2 {
-		t.Errorf("wall export has %d counter tracks (%v), want >= 2", len(counters), counters)
+	if frames != 4 {
+		t.Errorf("wall export has %d frame spans, want 4", frames)
 	}
-	for _, want := range []string{"shard-publish", "replay group 0", "replay group 3",
-		"coordinator", "assemble"} {
-		if !bytes.Contains(data, []byte(want)) {
-			t.Errorf("wall export missing %q", want)
+	for _, s := range telemetrySpecs() {
+		if name := "replayed/" + s.Name; !counters[name] {
+			t.Errorf("wall export missing counter track %q (counters %v)", name, counters)
 		}
+	}
+	if len(counters) != len(telemetrySpecs()) {
+		t.Errorf("wall export has %d counter tracks (%v), want %d",
+			len(counters), counters, len(telemetrySpecs()))
 	}
 }
 
@@ -188,13 +183,11 @@ func (c *stepTestClock) Now() int64 {
 }
 
 // TestTraceCountersTrackEngineWork sanity-checks the live counters the
-// monitor serves: after a parallel sweep every spec's replay counter
-// equals the frame count, the rendered counter equals the frame count,
-// and the chunk pool drained back to zero bytes in flight.
+// monitor serves: after a sweep every spec's replay counter equals the
+// frame count.
 func TestTraceCountersTrackEngineWork(t *testing.T) {
 	cfg := testCfg()
 	cfg.Frames = 4
-	cfg.Parallelism = 4
 	cfg.Trace = telemetry.NewTrace(telemetry.NewWallClock())
 	specs := telemetrySpecs()
 	if _, err := RunComparison(workload.Village(), cfg, specs); err != nil {
@@ -204,15 +197,6 @@ func TestTraceCountersTrackEngineWork(t *testing.T) {
 		if got := cfg.Trace.Counter("replayed/" + s.Name).Value(); got != 4 {
 			t.Errorf("replayed/%s = %d, want 4", s.Name, got)
 		}
-	}
-	if got := cfg.Trace.Counter("frames-rendered").Value(); got != 4 {
-		t.Errorf("frames-rendered = %d, want 4", got)
-	}
-	if got := cfg.Trace.Counter("chunk-bytes-inflight").Value(); got != 0 {
-		t.Errorf("chunk-bytes-inflight = %d after run, want 0", got)
-	}
-	if got := cfg.Trace.Counter("trace-bytes").Value(); got <= 0 {
-		t.Errorf("trace-bytes = %d, want > 0", got)
 	}
 
 	mon := telemetry.NewMonitor(cfg.Trace, cfg.Frames)

@@ -49,11 +49,6 @@ func Full() Scale {
 type Context struct {
 	Scale Scale
 	Out   io.Writer
-	// Parallelism is forwarded to core.Config.Parallelism for every cache
-	// sweep the context runs: 0 means GOMAXPROCS, 1 the serial reference
-	// engine, higher values the render-once/replay-many worker pool.
-	// Results are identical at every setting.
-	Parallelism int
 	// FastSweep forwards core.Config.FastSweep to every cache sweep: the
 	// analytic reuse model predicts each model-reachable spec from one
 	// instrumented render instead of replaying it. Totals-based tables
@@ -216,11 +211,10 @@ func (c *Context) sweep(name string, mode raster.SampleMode) (*core.Comparison, 
 		return r, nil
 	}
 	render := core.Config{
-		Width:       c.Scale.Width,
-		Height:      c.Scale.Height,
-		Frames:      c.frames(name),
-		Mode:        mode,
-		Parallelism: c.Parallelism,
+		Width:  c.Scale.Width,
+		Height: c.Scale.Height,
+		Frames: c.frames(name),
+		Mode:   mode,
 		// Always collect the reuse profile: it is what the model
 		// experiment reports from, and in exact sweeps it attaches the
 		// per-spec model error to the comparison for free.

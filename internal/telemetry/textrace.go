@@ -1,9 +1,8 @@
 // textrace: the simulator's one tracing system, a concurrent,
 // worker-attributed registry. It records what every engine is doing —
-// the single-configuration run, the serial fan-out, the partitioned
-// replay pool and the fast-sweep probe — as per-worker
-// nestable span tracks, counter tracks, and instant events for protocol
-// edges (shard publish, chunk abort, model refusal). It exports the
+// the single-configuration run, the exact sweep engine and the
+// fast-sweep probe — as per-worker nestable span tracks, counter tracks,
+// and instant events for protocol edges (such as a model refusal). It exports the
 // whole run as Chrome trace_event JSON (traceevent.go) that Perfetto or
 // chrome://tracing opens directly, and aggregates it into the per-phase
 // table a run manifest carries (report.go).
@@ -12,13 +11,13 @@
 //
 //   - wall regime (WallClock or any other real clock): events carry real
 //     timestamps and export on their physical tracks ("render",
-//     "replay group 1"), showing true concurrency, stalls, stragglers;
+//     "fast-probe"), showing true concurrency, stalls, stragglers;
 //   - canonical regime (the clock implements DeterministicClock, as
 //     FakeClock does): the export is a pure function of the logical work
 //     performed — events regroup onto their logical tracks, timestamps
 //     are virtual positions in canonical order, and scheduling-dependent
-//     gauge samples are suppressed — so the exported bytes are identical
-//     at every Parallelism setting.
+//     gauge samples are suppressed — so the exported bytes do not depend
+//     on which goroutine recorded what, or when.
 //
 // Every type is nil-safe: a nil *Trace yields nil *Track and *Counter
 // handles whose methods do nothing and allocate nothing, so instrumented
@@ -40,13 +39,13 @@ type DeterministicClock interface {
 }
 
 // DeterministicClock marks FakeClock as canonical: a trace driven by a
-// FakeClock exports identical bytes at every worker-count setting.
+// FakeClock exports identical bytes however its recorders were scheduled.
 func (*FakeClock) DeterministicClock() {}
 
 // Trace is the registry of span tracks and counter tracks for one run.
 // Track and Counter return one shared instance per name, so engine
-// layers that cannot see each other (sweep coordinator, replay
-// groups, chunk pool) still land on the same timeline.
+// layers that cannot see each other (an engine and the model it falls
+// back from, say) still land on the same timeline.
 type Trace struct {
 	clockMu sync.Mutex
 	clock   Clock
@@ -218,8 +217,8 @@ func (r Region) End() {
 	r.k.mu.Unlock()
 }
 
-// Instant records a zero-duration event (a protocol edge: shard publish,
-// chunk abort, model refusal). logical and seq follow Begin's contract;
+// Instant records a zero-duration event (a protocol edge, such as a
+// model refusal). logical and seq follow Begin's contract;
 // arg is an optional detail label. No-op on a nil track.
 func (k *Track) Instant(logical, name string, seq int64, arg string) {
 	if k == nil {
@@ -284,7 +283,7 @@ type Counter struct {
 }
 
 // Add adjusts the live value by d. Nil-safe and allocation-free: this is
-// the per-event emit path instrumented code may call at chunk rate.
+// the per-event emit path instrumented code may call at high rate.
 //
 // texlint:hotpath
 func (c *Counter) Add(d int64) {

@@ -137,7 +137,7 @@ func (t *Trace) emitWall(cw *chromeWriter) {
 // (seq, kind, name, arg) key, and timestamps are virtual positions in
 // that order. Counter timelines keep only explicit Samples, sorted by
 // seq. Nothing here depends on which goroutine recorded what or when,
-// so the bytes are identical at every Parallelism setting.
+// so the bytes are a function of the logical work alone.
 func (t *Trace) emitCanonical(cw *chromeWriter) {
 	type canonEvent struct {
 		track string
